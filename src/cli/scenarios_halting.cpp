@@ -64,7 +64,12 @@ bool run_fig2(const ScenarioOptions& opts, std::ostream& out) {
           local::run_oblivious(*verifier, inst.graph, {opts.exec}).accepted;
       verify = verified ? "accept" : "REJECT";
       const auto ids = local::make_consecutive(inst.graph.node_count());
-      const bool acc = local::accepts(*decider, inst.graph, ids);
+      // Pool but no cache: the decider reads ids, so its balls never
+      // repeat and a cache would only add encodings.
+      const local::RunOptions uncached{{opts.exec.pool, nullptr}};
+      const bool acc =
+          local::run_local_algorithm(*decider, inst.graph, ids, uncached)
+              .accepted;
       const bool correct = acc == (e.output == 0);  // membership: output 0
       ok = ok && verified && correct;
       decide = cat(acc ? "accept" : "reject", correct ? " (ok)" : " (BAD)");
@@ -227,9 +232,9 @@ bool run_promise_halting(const ScenarioOptions& opts, std::ostream& out) {
     const graph::NodeId n = e.machine.name() == "zigzag_halt(3,0)" ? 40 : 12;
     const auto inst = halting::build_promise_halting_instance(e.machine, n);
     const bool member = property->contains(inst);
+    const auto ids = local::make_consecutive(inst.node_count());
     const bool id_ok =
-        local::accepts(*decider, inst,
-                       local::make_consecutive(inst.node_count())) == member;
+        local::run_local_algorithm(*decider, inst, ids).accepted == member;
     ok = ok && id_ok;
     table.add_row({e.machine.name(), e.halts ? "yes" : "no",
                    e.halts ? cat(tm::run_machine(e.machine, 100000).steps)

@@ -104,12 +104,12 @@ bool run_promise_cycle(const ScenarioOptions& opts, std::ostream& out) {
     bool yes_ok = true;
     bool no_ok = true;
     for (int trial = 0; trial < trials; ++trial) {
-      yes_ok &= local::accepts(
-          *decider, yes,
-          local::make_random_bounded(yes.node_count(), pc.f, rng));
-      no_ok &= !local::accepts(
-          *decider, no,
-          local::make_random_bounded(no.node_count(), pc.f, rng));
+      const auto yes_ids =
+          local::make_random_bounded(yes.node_count(), pc.f, rng);
+      yes_ok &= local::run_local_algorithm(*decider, yes, yes_ids).accepted;
+      const auto no_ids =
+          local::make_random_bounded(no.node_count(), pc.f, rng);
+      no_ok &= !local::run_local_algorithm(*decider, no, no_ids).accepted;
     }
     const auto profile = local::BallProfile::of_graph(yes, 1);
     const auto audit = local::audit_indistinguishability(no, profile);

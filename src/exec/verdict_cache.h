@@ -2,7 +2,7 @@
 //
 // A deterministic, isomorphism-invariant local algorithm decides every ball
 // in a canonical-isomorphism class identically, so the class — named by
-// `Ball::canonical_encoding()` — needs deciding once per algorithm. The
+// `BallView::canonical_encoding()` — needs deciding once per algorithm. The
 // cache maps (algorithm name, canonical encoding) to the verdict; the
 // 64-bit `canonical_fingerprint()` picks the shard, and the full encoding
 // is the key inside the shard, so fingerprint collisions cost a shard

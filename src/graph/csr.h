@@ -102,8 +102,7 @@ class CsrGraph {
   // Freezes a finished builder. (GraphBuilder::build() forwards here.)
   explicit CsrGraph(const GraphBuilder& builder);
 
-  // Deep copy of a span (used to lift a scratch-backed ball slice into an
-  // owning Ball).
+  // Deep copy of a span.
   explicit CsrGraph(const CsrSpan& span);
 
   // Builds directly from an undirected edge list (u != v, ids in [0, n));

@@ -1,9 +1,9 @@
 // Induced subgraphs with bidirectional node maps.
 //
-// The Section-2/3 instance builders cut induced subgraphs out of a host
-// graph and need to translate node ids in both directions. (Hot-path ball
-// extraction no longer routes through here — see graph/ball_slice.h for the
-// zero-copy slice arena; this is the owning, general-subset variant.)
+// The owning, general-subset counterpart of the zero-copy slice arena in
+// graph/ball_slice.h. Two users remain: the tests, which check the arena and
+// the ball census against nodes_within + induced_subgraph as an independent
+// oracle, and local::extract_ball, the owning ball extraction.
 #pragma once
 
 #include <unordered_map>

@@ -498,7 +498,7 @@ void run_indexed(exec::ThreadPool* pool, std::size_t n,
 // ---- census internals ------------------------------------------------------
 
 // Centre-marked payloads of a ball slice, in local-id order (matching
-// local::Ball's stripped-ball payload scheme).
+// local::BallView's stripped-ball payload scheme).
 std::vector<std::string> slice_payloads(
     const BallSlice& s, const std::vector<std::string>& host_payloads) {
   std::vector<std::string> out;

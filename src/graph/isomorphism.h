@@ -103,7 +103,7 @@ std::string wl_certificate(CsrSpan g,
 
 // Bulk ball census over a host graph: the canonical class of B(v, radius)
 // for every host node v, centre-marked ("C"/"N" payload prefixes, matching
-// local::Ball's stripped-ball payload scheme) so the centre is
+// local::BallView's stripped-ball payload scheme) so the centre is
 // distinguished. `payloads[v]` contributes the host node's label bytes to
 // every ball containing v (pass empty strings for pure topology).
 struct BallCensusResult {

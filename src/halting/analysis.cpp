@@ -103,9 +103,10 @@ bool separation_accepts(const local::LocalAlgorithm& oblivious_candidate,
                "the separation algorithm runs Id-oblivious candidates");
   const GeneratedBalls gen =
       neighborhood_generator(params, oblivious_candidate.horizon());
+  local::BallScratch scratch;
   for (graph::NodeId v : gen.centers) {
-    const local::Ball ball =
-        extract_ball(gen.host, nullptr, v, oblivious_candidate.horizon());
+    const BallView ball =
+        scratch.extract(gen.host, nullptr, v, oblivious_candidate.horizon());
     if (oblivious_candidate.evaluate(ball) == Verdict::no) {
       return false;
     }

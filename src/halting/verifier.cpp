@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <mutex>
 #include <optional>
 #include <set>
 
@@ -447,10 +448,17 @@ class GmrVerifier final : public local::LocalAlgorithm {
     return fragment->key();
   }
 
+  // Thread-safe: the pool evaluates balls concurrently. The context is
+  // built outside the lock (two threads may race to build the same one;
+  // the first emplace wins), and entries are never erased, so a returned
+  // pointer stays valid for the verifier's lifetime.
   MachineCtx* context(const std::vector<std::int64_t>& enc) const {
-    auto it = cache_.find(enc);
-    if (it != cache_.end()) {
-      return it->second.get();
+    {
+      const std::lock_guard<std::mutex> lock(cache_mutex_);
+      auto it = cache_.find(enc);
+      if (it != cache_.end()) {
+        return it->second.get();
+      }
     }
     std::unique_ptr<MachineCtx> ctx;
     try {
@@ -474,6 +482,7 @@ class GmrVerifier final : public local::LocalAlgorithm {
     } catch (const Error&) {
       ctx = nullptr;
     }
+    const std::lock_guard<std::mutex> lock(cache_mutex_);
     return cache_.emplace(enc, std::move(ctx)).first->second.get();
   }
 
@@ -481,6 +490,7 @@ class GmrVerifier final : public local::LocalAlgorithm {
   tm::FragmentPolicy policy_;
   bool pyramidal_;
   long long step_budget_;
+  mutable std::mutex cache_mutex_;
   mutable std::map<std::vector<std::int64_t>, std::unique_ptr<MachineCtx>>
       cache_;
 };

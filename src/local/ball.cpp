@@ -51,21 +51,6 @@ std::uint64_t BallView::canonical_fingerprint() const {
   return hash_string(canonical_encoding());
 }
 
-Ball Ball::without_ids() const {
-  Ball out = *this;
-  out.ids.reset();
-  return out;
-}
-
-Ball Ball::with_ids(std::vector<Id> new_ids) const {
-  LOCALD_CHECK(new_ids.size() == static_cast<std::size_t>(g.node_count()),
-               "one id per ball node");
-  check_one_to_one(new_ids);
-  Ball out = *this;
-  out.ids = std::move(new_ids);
-  return out;
-}
-
 Ball extract_ball(const LabeledGraph& g, const IdAssignment* ids,
                   graph::NodeId v, int radius) {
   if (ids != nullptr) {

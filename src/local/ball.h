@@ -8,18 +8,18 @@
 // stripped, which makes obliviousness a property enforced by the framework
 // rather than a promise of the algorithm author.
 //
-// Two representations share one read API:
-//  - `BallView` is the type algorithms consume: a non-owning index slice —
-//    a `CsrSpan` over scratch- or Ball-owned adjacency rows, a local->host
-//    map, and borrowed label/id arrays. Views are a few words, copied
-//    freely, and valid only while their backing storage (a
-//    `local::BallScratch`, an owning `Ball`, or the id vector passed to
-//    `with_ids`) is alive.
-//  - `Ball` owns its storage (a `CsrGraph` plus label/id vectors); it is
-//    what `extract_ball` returns when the caller needs the ball to outlive
-//    the extraction (audits that hold two balls at once, the sync engine's
-//    knowledge reconstruction, pre-extracted sampling loops). It converts
-//    implicitly to `BallView`.
+// `BallView` is the one way to read a ball: a non-owning index slice — a
+// `CsrSpan` over scratch- or Ball-owned adjacency rows, a local->host map,
+// and borrowed label/id arrays. Views are a few words, copied freely, and
+// valid only while their backing storage (a `local::BallScratch`, an owning
+// `Ball`, or the id vector passed to `with_ids`) is alive. Sweeps extract
+// views from a per-thread `BallScratch`.
+//
+// `Ball` is plain owning storage (a `CsrGraph` plus label/id vectors), read
+// only through `view()`. It backs the sync engine's knowledge
+// reconstruction, and `extract_ball` returns one where a scratch's
+// host-sized arrays would cost more than the copy (the tree audit's few
+// sampled balls of a multi-million-node T_r).
 //
 // `canonical_encoding` is a complete isomorphism invariant of the ball
 // (centre distinguished, labels exact, ids exact when present): two balls
@@ -76,12 +76,6 @@ struct BallView {
   Id center_id() const { return id_of(center); }
   const Label& center_label() const { return label(center); }
 
-  graph::NodeId host_of(graph::NodeId v) const {
-    LOCALD_CHECK(to_host != nullptr, "ball carries no host map");
-    LOCALD_CHECK(v >= 0 && v < g.node_count(), "ball node out of range");
-    return to_host[static_cast<std::size_t>(v)];
-  }
-
   // Same ball with identifiers removed (a shallow view copy).
   BallView without_ids() const {
     BallView out = *this;
@@ -100,8 +94,7 @@ struct BallView {
   std::uint64_t canonical_fingerprint() const;
 };
 
-// Owning ball. Public members mirror the legacy struct so direct
-// construction sites (sync engine, tests) carry over.
+// Owning ball storage; read it through view().
 struct Ball {
   graph::CsrGraph g;
   std::vector<Label> labels;
@@ -121,35 +114,6 @@ struct Ball {
     out.local_labels = labels.data();
     out.ids = ids.has_value() ? ids->data() : nullptr;
     return out;
-  }
-  operator BallView() const { return view(); }
-
-  graph::NodeId node_count() const { return g.node_count(); }
-  bool has_ids() const { return ids.has_value(); }
-
-  const Label& label(graph::NodeId v) const {
-    LOCALD_CHECK(v >= 0 && v < g.node_count(), "ball node out of range");
-    return labels[static_cast<std::size_t>(v)];
-  }
-
-  Id id_of(graph::NodeId v) const {
-    LOCALD_CHECK(has_ids(), "ball carries no identifiers");
-    LOCALD_CHECK(v >= 0 && v < g.node_count(), "ball node out of range");
-    return (*ids)[static_cast<std::size_t>(v)];
-  }
-
-  Id center_id() const { return id_of(center); }
-  const Label& center_label() const { return label(center); }
-
-  // Same ball with identifiers removed (owning copy).
-  Ball without_ids() const;
-
-  // Same ball with identifiers replaced (owning copy; validated).
-  Ball with_ids(std::vector<Id> new_ids) const;
-
-  std::string canonical_encoding() const { return view().canonical_encoding(); }
-  std::uint64_t canonical_fingerprint() const {
-    return view().canonical_fingerprint();
   }
 };
 

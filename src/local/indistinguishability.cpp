@@ -9,8 +9,8 @@ namespace locald::local {
 namespace {
 
 // Census over the stripped radius-r balls of `g`, byte-compatible with
-// Ball::canonical_encoding(): the census centre-marks ("C"/"N" prefixes)
-// the label payloads exactly as Ball does, so prefixing the radius yields
+// BallView::canonical_encoding(): the census centre-marks ("C"/"N" prefixes)
+// the label payloads exactly as BallView does, so prefixing the radius yields
 // the identical encoding — and hence the identical fingerprint — that
 // add_ball/contains compute one ball at a time.
 std::vector<std::uint64_t> ball_fingerprints(const LabeledGraph& g, int radius,

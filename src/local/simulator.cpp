@@ -103,11 +103,6 @@ RunResult run_oblivious(const LocalAlgorithm& alg, const LabeledGraph& g,
   return run_impl(alg, g, nullptr, options);
 }
 
-bool accepts(const LocalAlgorithm& alg, const LabeledGraph& g,
-             const IdAssignment& ids) {
-  return run_local_algorithm(alg, g, ids).accepted;
-}
-
 IdDependenceProbe probe_id_dependence(const LocalAlgorithm& alg,
                                       const LabeledGraph& g, Id universe,
                                       int trials, const RunOptions& options) {
@@ -141,29 +136,6 @@ IdDependenceProbe probe_id_dependence(const LocalAlgorithm& alg,
   return probe;
 }
 
-RandomizedRun run_randomized_once(const RandomizedLocalAlgorithm& alg,
-                                  const LabeledGraph& g,
-                                  const IdAssignment* ids, Rng& rng) {
-  if (!alg.id_oblivious()) {
-    LOCALD_CHECK(ids != nullptr,
-                 "id-aware randomized algorithm needs identifiers");
-  }
-  const IdAssignment* visible_ids = alg.id_oblivious() ? nullptr : ids;
-  RandomizedRun run;
-  run.outputs.reserve(static_cast<std::size_t>(g.node_count()));
-  BallScratch scratch;
-  for (graph::NodeId v = 0; v < g.node_count(); ++v) {
-    const BallView ball = scratch.extract(g, visible_ids, v, alg.horizon());
-    Rng node_coin = rng.split();
-    const Verdict out = alg.evaluate(ball, node_coin);
-    run.outputs.push_back(out);
-    if (out == Verdict::no) {
-      run.accepted = false;
-    }
-  }
-  return run;
-}
-
 AcceptanceEstimate estimate_acceptance(const RandomizedLocalAlgorithm& alg,
                                        const LabeledGraph& g,
                                        const IdAssignment* ids, int trials,
@@ -177,32 +149,37 @@ AcceptanceEstimate estimate_acceptance(const RandomizedLocalAlgorithm& alg,
     LOCALD_CHECK(ids->node_count() == g.node_count(),
                  "identifier assignment size mismatch");
   }
-  // Balls are fixed across trials (only the coins change): extract each one
-  // once — owning, because the balls outlive any per-thread scratch.
+  // Node-major: each node extracts its ball once and evaluates every trial
+  // no node has rejected yet. Trial t is rejected iff some node outputs no
+  // under coin stream (seed, t, v), so the count does not depend on the
+  // order in which threads reach the cells.
   const IdAssignment* visible_ids = alg.id_oblivious() ? nullptr : ids;
   const std::size_t n = static_cast<std::size_t>(g.node_count());
-  std::vector<Ball> balls(n);
-  options.exec.for_each(n, [&](std::size_t i) {
-    balls[i] = extract_ball(g, visible_ids, static_cast<graph::NodeId>(i),
-                            alg.horizon());
-  });
-  std::atomic<int> accepted{0};
-  options.exec.for_each(static_cast<std::size_t>(trials), [&](std::size_t t) {
-    bool all_yes = true;
-    for (std::size_t v = 0; v < n; ++v) {
+  const std::size_t trial_count = static_cast<std::size_t>(trials);
+  std::vector<std::atomic<bool>> rejected(trial_count);
+  options.exec.for_each(n, [&](std::size_t v) {
+    // Nested parallel_for runs inline on the calling worker, so no second
+    // extraction can interleave with a live view (as in run_impl).
+    static thread_local BallScratch scratch;
+    const BallView ball = scratch.extract(
+        g, visible_ids, static_cast<graph::NodeId>(v), alg.horizon());
+    for (std::size_t t = 0; t < trial_count; ++t) {
+      if (rejected[t].load(std::memory_order_relaxed)) {
+        continue;
+      }
       Rng coin = Rng::stream(options.seed, t, v);
-      if (alg.evaluate(balls[v], coin) == Verdict::no) {
-        all_yes = false;
-        break;
+      if (alg.evaluate(ball, coin) == Verdict::no) {
+        rejected[t].store(true, std::memory_order_relaxed);
       }
     }
-    if (all_yes) {
-      accepted.fetch_add(1, std::memory_order_relaxed);
-    }
   });
+  int accepted = 0;
+  for (const std::atomic<bool>& r : rejected) {
+    accepted += r.load() ? 0 : 1;
+  }
   AcceptanceEstimate est;
   est.trials = trials;
-  est.accepted = accepted.load();
+  est.accepted = accepted;
   return est;
 }
 

@@ -52,10 +52,6 @@ RunResult run_local_algorithm(const LocalAlgorithm& alg, const LabeledGraph& g,
 RunResult run_oblivious(const LocalAlgorithm& alg, const LabeledGraph& g,
                         const RunOptions& options = {});
 
-// Global verdict only.
-bool accepts(const LocalAlgorithm& alg, const LabeledGraph& g,
-             const IdAssignment& ids);
-
 // Empirical probe of assumption-dependence: evaluates the algorithm under
 // `trials` random id assignments drawn from [0, universe) and reports
 // whether any PER-NODE output differed between two assignments. A truly
@@ -73,16 +69,6 @@ IdDependenceProbe probe_id_dependence(const LocalAlgorithm& alg,
                                       int trials,
                                       const RunOptions& options = {});
 
-// Randomized algorithms: one independent RNG stream per node per trial.
-struct RandomizedRun {
-  std::vector<Verdict> outputs;
-  bool accepted = true;
-};
-
-RandomizedRun run_randomized_once(const RandomizedLocalAlgorithm& alg,
-                                  const LabeledGraph& g,
-                                  const IdAssignment* ids, Rng& rng);
-
 // Monte-Carlo estimate of Pr[accept].
 struct AcceptanceEstimate {
   int trials = 0;
@@ -99,8 +85,8 @@ struct AcceptanceEstimate {
 
 // Node v's coins in trial t come from the counter-based stream
 // (options.seed, t, v), so every (node, trial) cell is the same generator
-// no matter which thread runs it; balls are extracted once and reused
-// across all trials.
+// no matter which thread runs it; each ball is extracted once and
+// evaluated under the coins of every trial not yet rejected.
 AcceptanceEstimate estimate_acceptance(const RandomizedLocalAlgorithm& alg,
                                        const LabeledGraph& g,
                                        const IdAssignment* ids, int trials,

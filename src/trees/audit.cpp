@@ -63,7 +63,8 @@ TreeAuditResult audit_tree_coverage(const TreeParams& p,
       const local::LabeledGraph instance =
           build_patch_instance(p, *witness);
       const local::Ball in_H = ball_of_coords(instance, p.r, x, y);
-      if (in_T.canonical_encoding() != in_H.canonical_encoding()) {
+      if (in_T.view().canonical_encoding() !=
+          in_H.view().canonical_encoding()) {
         ++result.canonical_mismatch;
       }
     }

@@ -100,6 +100,38 @@ TEST(Determinism, EstimateAcceptanceIdenticalAt1And2And8Threads) {
   }
 }
 
+// The estimate against a plain trial-major loop: trial t accepts iff every
+// node outputs yes under coin stream (seed, t, v). Serial == parallel alone
+// would also pass a loop order that is wrong but consistent.
+TEST(Determinism, EstimateAcceptanceMatchesTrialMajorReference) {
+  const LabeledGraph g = two_colored_cycle(12);
+  const CoinHungry alg;
+  constexpr int kTrials = 300;
+  constexpr std::uint64_t kSeed = 7;
+
+  int expected = 0;
+  for (int t = 0; t < kTrials; ++t) {
+    bool all_yes = true;
+    for (graph::NodeId v = 0; v < g.node_count() && all_yes; ++v) {
+      Rng coin = Rng::stream(kSeed, static_cast<std::uint64_t>(t),
+                             static_cast<std::uint64_t>(v));
+      const Ball ball = extract_ball(g, nullptr, v, alg.horizon());
+      all_yes = alg.evaluate(ball.view(), coin) == Verdict::yes;
+    }
+    expected += all_yes ? 1 : 0;
+  }
+  ASSERT_GT(expected, 0);
+  ASSERT_LT(expected, kTrials);
+
+  for (int threads : {1, 4}) {
+    exec::ThreadPool pool(threads);
+    exec::ExecContext ctx{&pool, nullptr};
+    const auto run =
+        estimate_acceptance(alg, g, nullptr, kTrials, {ctx, kSeed});
+    EXPECT_EQ(run.accepted, expected) << threads << " threads";
+  }
+}
+
 TEST(Determinism, ProbeIdDependenceIdenticalAt1And2And8Threads) {
   const LabeledGraph g = LabeledGraph::uniform(make_cycle(6), Label{});
   const auto threshold = make_id_aware("big-id-rejects", 0, [](const BallView& b) {
@@ -233,7 +265,8 @@ TEST(Determinism, ObliviousSimulationVerdictIndependentOfPool) {
         return Verdict::no;
       });
   const LabeledGraph g = LabeledGraph::uniform(make_path(5), Label{});
-  const Ball ball = extract_ball(g, nullptr, 2, 1);
+  BallScratch scratch;
+  const BallView ball = scratch.extract(g, nullptr, 2, 1);
 
   for (bool exhaustive : {true, false}) {
     oblivious::SimulationOptions serial_opts;

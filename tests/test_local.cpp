@@ -105,7 +105,8 @@ TEST(Identifiers, InverseOfBound) {
 
 TEST(Ball, ExtractionRadiusZero) {
   LabeledGraph g = LabeledGraph::uniform(make_cycle(5), Label{1});
-  const Ball b = extract_ball(g, nullptr, 2, 0);
+  const Ball owned = extract_ball(g, nullptr, 2, 0);
+  const BallView b = owned.view();
   EXPECT_EQ(b.node_count(), 1);
   EXPECT_EQ(b.center, 0);
   EXPECT_FALSE(b.has_ids());
@@ -117,28 +118,32 @@ TEST(Ball, ExtractionIncludesEdgesAmongNeighbors) {
   LabeledGraph g(graph::CsrGraph::from_edges(
       4, {{0, 1}, {0, 2}, {1, 2}, {2, 3}}));
   const Ball b = extract_ball(g, nullptr, 0, 1);
-  EXPECT_EQ(b.node_count(), 3);
+  EXPECT_EQ(b.g.node_count(), 3);
   EXPECT_EQ(b.g.edge_count(), 3u);  // the triangle, not the pendant edge
 }
 
 TEST(Ball, IdsCarriedAndStripped) {
   LabeledGraph g = LabeledGraph::uniform(make_path(4), Label{});
   const IdAssignment ids({10, 20, 30, 40});
-  const Ball b = extract_ball(g, &ids, 1, 1);
+  const Ball owned = extract_ball(g, &ids, 1, 1);
+  const BallView b = owned.view();
   ASSERT_TRUE(b.has_ids());
   EXPECT_EQ(b.center_id(), 20u);
-  const Ball stripped = b.without_ids();
+  const BallView stripped = b.without_ids();
   EXPECT_FALSE(stripped.has_ids());
   EXPECT_EQ(stripped.node_count(), b.node_count());
 }
 
 TEST(Ball, WithIdsValidates) {
   LabeledGraph g = LabeledGraph::uniform(make_path(3), Label{});
-  const Ball b = extract_ball(g, nullptr, 1, 1);
+  const Ball owned = extract_ball(g, nullptr, 1, 1);
+  const BallView b = owned.view();
   EXPECT_THROW(b.with_ids({1, 1, 2}), Error);
   EXPECT_THROW(b.with_ids({1, 2}), Error);
-  const Ball c = b.with_ids({5, 6, 7});
+  const std::vector<Id> fresh{5, 6, 7};
+  const BallView c = b.with_ids(fresh);
   EXPECT_TRUE(c.has_ids());
+  EXPECT_EQ(c.center_id(), fresh[static_cast<std::size_t>(c.center)]);
 }
 
 TEST(Ball, CanonicalEncodingInvariantAcrossHostRelabeling) {
@@ -146,9 +151,9 @@ TEST(Ball, CanonicalEncodingInvariantAcrossHostRelabeling) {
   // symmetric graph yields identical encodings.
   LabeledGraph g = LabeledGraph::uniform(make_cycle(8), Label{3});
   const std::string e0 =
-      extract_ball(g, nullptr, 0, 2).canonical_encoding();
+      extract_ball(g, nullptr, 0, 2).view().canonical_encoding();
   const std::string e5 =
-      extract_ball(g, nullptr, 5, 2).canonical_encoding();
+      extract_ball(g, nullptr, 5, 2).view().canonical_encoding();
   EXPECT_EQ(e0, e5);
 }
 
@@ -157,28 +162,29 @@ TEST(Ball, CanonicalEncodingSeparatesCenter) {
   // though as graphs they may coincide (radius 2 sees the whole path).
   LabeledGraph g = LabeledGraph::uniform(make_path(3), Label{});
   const std::string middle =
-      extract_ball(g, nullptr, 1, 2).canonical_encoding();
+      extract_ball(g, nullptr, 1, 2).view().canonical_encoding();
   const std::string end =
-      extract_ball(g, nullptr, 0, 2).canonical_encoding();
+      extract_ball(g, nullptr, 0, 2).view().canonical_encoding();
   EXPECT_NE(middle, end);
 }
 
 TEST(Ball, CanonicalEncodingSeparatesLabels) {
   LabeledGraph a = LabeledGraph::uniform(make_path(3), Label{1});
   LabeledGraph b = LabeledGraph::uniform(make_path(3), Label{2});
-  EXPECT_NE(extract_ball(a, nullptr, 1, 1).canonical_encoding(),
-            extract_ball(b, nullptr, 1, 1).canonical_encoding());
+  EXPECT_NE(extract_ball(a, nullptr, 1, 1).view().canonical_encoding(),
+            extract_ball(b, nullptr, 1, 1).view().canonical_encoding());
 }
 
 TEST(Ball, CanonicalEncodingSeparatesIds) {
   LabeledGraph g = LabeledGraph::uniform(make_path(3), Label{});
   const IdAssignment i1({1, 2, 3});
   const IdAssignment i2({1, 2, 4});
-  EXPECT_NE(extract_ball(g, &i1, 1, 1).canonical_encoding(),
-            extract_ball(g, &i2, 1, 1).canonical_encoding());
+  const Ball b1 = extract_ball(g, &i1, 1, 1);
+  const Ball b2 = extract_ball(g, &i2, 1, 1);
+  EXPECT_NE(b1.view().canonical_encoding(), b2.view().canonical_encoding());
   // ...but stripped balls agree.
-  EXPECT_EQ(extract_ball(g, &i1, 1, 1).without_ids().canonical_encoding(),
-            extract_ball(g, &i2, 1, 1).without_ids().canonical_encoding());
+  EXPECT_EQ(b1.view().without_ids().canonical_encoding(),
+            b2.view().without_ids().canonical_encoding());
 }
 
 TEST(Simulator, AcceptsIffAllNodesYes) {
@@ -311,13 +317,13 @@ TEST(BallProfile, RejectsIdCarryingBalls) {
   LabeledGraph g = LabeledGraph::uniform(make_path(3), Label{});
   const IdAssignment ids({1, 2, 3});
   BallProfile profile(1);
-  EXPECT_THROW(profile.add_ball(extract_ball(g, &ids, 0, 1)), Error);
+  EXPECT_THROW(profile.add_ball(extract_ball(g, &ids, 0, 1).view()), Error);
 }
 
 TEST(BallProfile, RadiusMismatchRejected) {
   LabeledGraph g = LabeledGraph::uniform(make_path(3), Label{});
   BallProfile profile(2);
-  EXPECT_THROW(profile.add_ball(extract_ball(g, nullptr, 0, 1)), Error);
+  EXPECT_THROW(profile.add_ball(extract_ball(g, nullptr, 0, 1).view()), Error);
 }
 
 // Grid vs torus: radius-1 balls of the torus interior match grid interiors,
@@ -350,7 +356,7 @@ TEST_P(RadiusSweep, CycleBallSizes) {
   const int t = GetParam();
   LabeledGraph g = LabeledGraph::uniform(make_cycle(25), Label{});
   const Ball b = extract_ball(g, nullptr, 7, t);
-  EXPECT_EQ(b.node_count(), std::min(2 * t + 1, 25));
+  EXPECT_EQ(b.g.node_count(), std::min(2 * t + 1, 25));
   EXPECT_EQ(b.radius, t);
 }
 

@@ -65,7 +65,8 @@ TEST(Simulation, ExhaustiveOnTinyBallsSampledOnLarge) {
   const auto sim = make_oblivious_simulation(reading, options);
   LabeledGraph tiny = LabeledGraph::uniform(graph::make_path(1),
                                             local::Label{});
-  const local::Ball b0 = local::extract_ball(tiny, nullptr, 0, 0);
+  local::BallScratch scratch;
+  const local::BallView b0 = scratch.extract(tiny, nullptr, 0, 0);
   sim->evaluate(b0);
   EXPECT_TRUE(sim->last_stats().exhaustive);
   EXPECT_EQ(sim->last_stats().assignments_tried, 6u);
@@ -79,7 +80,7 @@ TEST(Simulation, ExhaustiveOnTinyBallsSampledOnLarge) {
   const auto sim2 = make_oblivious_simulation(reading2, big);
   LabeledGraph cyc = LabeledGraph::uniform(graph::make_cycle(9),
                                            local::Label{});
-  const local::Ball b1 = local::extract_ball(cyc, nullptr, 0, 1);
+  const local::BallView b1 = scratch.extract(cyc, nullptr, 0, 1);
   sim2->evaluate(b1);
   EXPECT_FALSE(sim2->last_stats().exhaustive);
   EXPECT_EQ(sim2->last_stats().assignments_tried, 50u);
@@ -103,7 +104,8 @@ TEST(Simulation, BreaksSection2DeciderUnderB) {
   // The genuine decider accepts under bounded ids...
   Rng rng(3);
   const auto ids = local::make_random_bounded(yes.node_count(), p.f, rng);
-  EXPECT_TRUE(local::accepts(*trees::make_P_decider(p), yes, ids));
+  EXPECT_TRUE(
+      local::run_local_algorithm(*trees::make_P_decider(p), yes, ids).accepted);
   // ...but its Id-oblivious simulation rejects the same yes-instance: some
   // explored assignment exceeds R(r).
   EXPECT_FALSE(local::run_oblivious(*sim, yes).accepted);

@@ -45,14 +45,16 @@ TEST(Knowledge, BallReconstructionMatchesExtraction) {
     }
     k.emplace(node.id, node);
   }
-  const Ball ball = ball_from_knowledge(0, k, 1);
+  const Ball owned = ball_from_knowledge(0, k, 1);
+  const BallView ball = owned.view();
   EXPECT_EQ(ball.node_count(), 3);
   EXPECT_EQ(ball.center_label(), Label{0});
   ASSERT_TRUE(ball.has_ids());
 
   LabeledGraph lg(c5, {Label{0}, Label{1}, Label{2}, Label{3}, Label{4}});
   const IdAssignment ids = make_consecutive(5);
-  const Ball direct = extract_ball(lg, &ids, 0, 1);
+  BallScratch scratch;
+  const BallView direct = scratch.extract(lg, &ids, 0, 1);
   EXPECT_EQ(ball.canonical_encoding(), direct.canonical_encoding());
 }
 
@@ -68,8 +70,8 @@ TEST(Knowledge, ReconstructionIgnoresNodesBeyondRadius) {
     }
     k.emplace(node.id, node);
   }
-  EXPECT_EQ(ball_from_knowledge(2, k, 1).node_count(), 3);
-  EXPECT_EQ(ball_from_knowledge(2, k, 2).node_count(), 5);
+  EXPECT_EQ(ball_from_knowledge(2, k, 1).g.node_count(), 3);
+  EXPECT_EQ(ball_from_knowledge(2, k, 2).g.node_count(), 5);
 }
 
 // The headline equivalence: running any local algorithm through t+1 rounds

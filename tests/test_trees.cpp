@@ -306,7 +306,7 @@ TEST(Decider, RejectsGarbage) {
   }
   Rng rng(8);
   const IdAssignment ids = local::make_random_bounded(5, p.f, rng);
-  EXPECT_FALSE(local::accepts(*decider, garbage, ids));
+  EXPECT_FALSE(local::run_local_algorithm(*decider, garbage, ids).accepted);
 }
 
 TEST(Decider, IsGenuinelyIdDependent) {
