@@ -58,7 +58,7 @@ bool fault_fields_equal(const gen::FaultRobustnessResult& a,
   }
   for (std::size_t i = 0; i < a.panel.size(); ++i) {
     if (a.panel[i].algorithm != b.panel[i].algorithm ||
-        a.panel[i].sync_yes != b.panel[i].sync_yes ||
+        a.panel[i].reference_yes != b.panel[i].reference_yes ||
         a.panel[i].faulty_yes != b.panel[i].faulty_yes ||
         a.panel[i].agree_nodes != b.panel[i].agree_nodes ||
         a.panel[i].control_identical != b.panel[i].control_identical) {
@@ -193,7 +193,7 @@ void write_cell(JsonWriter& w, const BenchCell& cell,
       w.key("algorithm");
       w.value(row.algorithm);
       w.key("sync_yes");
-      w.value(row.sync_yes);
+      w.value(row.reference_yes);
       w.key("faulty_yes");
       w.value(row.faulty_yes);
       w.key("agree_nodes");

@@ -63,7 +63,7 @@ struct Scenario {
   // so the registry's positional aggregate initializers — written before
   // fault profiles existed — keep their meaning; scenarios opting in set
   // the field by name.
-  std::string fault_help;
+  std::string fault_help{};
 };
 
 // The full registry, in paper order.

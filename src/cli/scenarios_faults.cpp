@@ -1,16 +1,17 @@
-// The fault-robustness scenario: sync engine vs event-driven engine under a
-// selectable fault profile, per family cell.
+// The fault-robustness scenario: direct ball evaluation vs the event-driven
+// engine under a selectable fault profile, per family cell.
 //
 // The paper's model assumes clean synchronous rounds; the follow-up papers
 // probe verdict sensitivity to model perturbations. This scenario makes the
 // network itself the perturbed axis: the Id-oblivious panel runs over a
-// generated family instance through the clean synchronous engine and
+// generated family instance by direct ball evaluation (the paper's
+// definition of a local algorithm, printed as the "sync yes" column) and
 // through the event-driven engine (local/event_engine.h) under a `--faults`
 // profile, and the table reports per-algorithm verdict agreement plus the
 // simulated schedule's deterministic statistics. A `none`-profile control
-// run must reproduce the sync engine verbatim — that equivalence is the
-// scenario's pass criterion (divergence under real faults is the data, not
-// a failure).
+// run must reproduce direct ball evaluation verbatim — that equivalence is
+// the scenario's pass criterion (divergence under real faults is the data,
+// not a failure).
 #include "cli/scenarios.h"
 #include "gen/workload.h"
 #include "local/fault_profile.h"
@@ -49,7 +50,7 @@ bool run_fault_robustness(const ScenarioOptions& opts, std::ostream& out) {
         gen::run_fault_robustness(spec, wopts, profile, opts.exec);
     ok = ok && r.ok();
     for (const gen::FaultPanelRow& row : r.panel) {
-      table.add_row({cat("#", t), row.algorithm, cat(row.sync_yes),
+      table.add_row({cat("#", t), row.algorithm, cat(row.reference_yes),
                      cat(row.faulty_yes),
                      cat(row.agree_nodes, "/", r.nodes),
                      row.control_identical ? "identical" : "DIVERGED"});
@@ -69,6 +70,9 @@ bool run_fault_robustness(const ScenarioOptions& opts, std::ostream& out) {
              table);
   emit_table(out, opts, "event-engine schedule (seeded, deterministic)",
              schedule);
+  // "The synchronous engine" is the clean reference, direct ball
+  // evaluation; the note's bytes are part of every fault-robustness
+  // document, so the wording stays.
   emit_note(out, opts,
             "the `none` control run must reproduce the synchronous engine "
             "verbatim; the faulty columns and the schedule table are pure "

@@ -22,13 +22,13 @@
 // The LOCAL model and local decision
 #include "local/algorithm.h"
 #include "local/ball.h"
+#include "local/event_engine.h"
 #include "local/identifiers.h"
 #include "local/indistinguishability.h"
 #include "local/label.h"
 #include "local/labeled_graph.h"
 #include "local/property.h"
 #include "local/simulator.h"
-#include "local/sync_engine.h"
 
 // Example properties (LD* baselines)
 #include "props/properties.h"

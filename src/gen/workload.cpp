@@ -8,7 +8,7 @@
 #include "local/ball.h"
 #include "local/identifiers.h"
 #include "local/labeled_graph.h"
-#include "local/sync_engine.h"
+#include "local/simulator.h"
 #include "obs/trace.h"
 #include "support/format.h"
 
@@ -191,17 +191,19 @@ FaultRobustnessResult run_fault_robustness(
     obs::Span row_span("fault-panel-row", alg.name());
     FaultPanelRow row;
     row.algorithm = alg.name();
-    const std::vector<local::Verdict> sync =
-        local::run_via_message_passing(alg, instance, ids);
+    // The clean reference: direct ball evaluation, serial and uncached so
+    // the shared verdict cache sees no traffic from this pass.
+    const std::vector<local::Verdict> reference =
+        local::run_local_algorithm(alg, instance, ids).outputs;
     const local::EventRunResult clean =
         local::run_via_event_engine(alg, instance, ids, control, opts.seed);
     const local::EventRunResult faulty =
         local::run_via_event_engine(alg, instance, ids, profile, opts.seed);
-    row.control_identical = clean.verdicts == sync;
-    for (std::size_t v = 0; v < sync.size(); ++v) {
-      row.sync_yes += sync[v] == local::Verdict::yes ? 1 : 0;
+    row.control_identical = clean.verdicts == reference;
+    for (std::size_t v = 0; v < reference.size(); ++v) {
+      row.reference_yes += reference[v] == local::Verdict::yes ? 1 : 0;
       row.faulty_yes += faulty.verdicts[v] == local::Verdict::yes ? 1 : 0;
-      row.agree_nodes += faulty.verdicts[v] == sync[v] ? 1 : 0;
+      row.agree_nodes += faulty.verdicts[v] == reference[v] ? 1 : 0;
     }
     stats[a] = faulty.stats;
     out.panel[a] = std::move(row);

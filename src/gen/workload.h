@@ -74,7 +74,8 @@ WorkloadResult run_family_workload(const FamilyInstanceSpec& spec,
 //
 // The event-engine robustness pass shared by the `fault-robustness`
 // scenario and `locald bench --faults`: every panel algorithm runs over the
-// built instance through the synchronous engine, through the event engine
+// built instance by direct ball evaluation (run_local_algorithm, the
+// paper's definition and the clean reference), through the event engine
 // under the `none` control profile, and through the event engine under
 // `profile`. Every field is a pure function of (family spec, profile,
 // seed) — the event engine's schedule is seeded, so the whole result may
@@ -82,12 +83,12 @@ WorkloadResult run_family_workload(const FamilyInstanceSpec& spec,
 
 struct FaultPanelRow {
   std::string algorithm;
-  std::int64_t sync_yes = 0;       // sync-engine yes-nodes (the clean truth)
+  std::int64_t reference_yes = 0;  // direct ball evaluation (the clean truth)
   std::int64_t faulty_yes = 0;     // event engine under `profile`
-  std::int64_t agree_nodes = 0;    // nodes where faulty == sync, per node
-  // The `none`-profile event run reproduced the sync engine verbatim — the
-  // equivalence the engine promises; any false here is an engine bug, not a
-  // property of the profile.
+  std::int64_t agree_nodes = 0;    // nodes where faulty == reference
+  // The `none`-profile event run reproduced direct ball evaluation verbatim
+  // — the equivalence the engine promises; any false here is an engine bug,
+  // not a property of the profile.
   bool control_identical = false;
 };
 

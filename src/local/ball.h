@@ -16,8 +16,9 @@
 // views from a per-thread `BallScratch`.
 //
 // `Ball` is plain owning storage (a `CsrGraph` plus label/id vectors), read
-// only through `view()`. It backs the sync engine's knowledge
-// reconstruction, and `extract_ball` returns one where a scratch's
+// only through `view()`. It backs the event engine's knowledge
+// reconstruction (local/event_engine.h, checked against direct ball
+// evaluation), and `extract_ball` returns one where a scratch's
 // host-sized arrays would cost more than the copy (the tree audit's few
 // sampled balls of a multi-million-node T_r).
 //

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <queue>
+#include <sstream>
 #include <tuple>
 
 #include "graph/graph.h"
@@ -10,6 +11,162 @@
 #include "support/check.h"
 
 namespace locald::local {
+
+namespace {
+
+std::string encode_label(const Label& l) {
+  std::string s;
+  for (std::size_t i = 0; i < l.size(); ++i) {
+    if (i > 0) s += ",";
+    s += std::to_string(l.at(i));
+  }
+  return s;
+}
+
+Label decode_label(const std::string& s) {
+  std::vector<std::int64_t> fields;
+  if (!s.empty()) {
+    std::istringstream is(s);
+    std::string tok;
+    while (std::getline(is, tok, ',')) {
+      fields.push_back(std::stoll(tok));
+    }
+  }
+  return Label(std::move(fields));
+}
+
+std::string encode_ids(const std::vector<Id>& ids) {
+  std::string s;
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    if (i > 0) s += ",";
+    s += std::to_string(ids[i]);
+  }
+  return s;
+}
+
+std::vector<Id> decode_ids(const std::string& s) {
+  std::vector<Id> ids;
+  if (!s.empty()) {
+    std::istringstream is(s);
+    std::string tok;
+    while (std::getline(is, tok, ',')) {
+      ids.push_back(std::stoull(tok));
+    }
+  }
+  return ids;
+}
+
+}  // namespace
+
+std::string encode_knowledge(Id self, const Knowledge& k) {
+  std::string out = std::to_string(self);
+  out += "\n";
+  for (const auto& [id, node] : k) {
+    LOCALD_ASSERT(id == node.id, "knowledge key must match node id");
+    out += std::to_string(id);
+    out += "|";
+    out += encode_label(node.label);
+    out += "|";
+    out += encode_ids(node.adj);
+    out += "\n";
+  }
+  return out;
+}
+
+std::pair<Id, Knowledge> decode_knowledge(const std::string& payload) {
+  std::istringstream is(payload);
+  std::string line;
+  LOCALD_CHECK(std::getline(is, line), "knowledge payload missing header");
+  const Id self = std::stoull(line);
+  Knowledge k;
+  while (std::getline(is, line)) {
+    if (line.empty()) {
+      continue;
+    }
+    const std::size_t p1 = line.find('|');
+    const std::size_t p2 = line.find('|', p1 + 1);
+    LOCALD_CHECK(p1 != std::string::npos && p2 != std::string::npos,
+                 "malformed knowledge line");
+    KnownNode node;
+    node.id = std::stoull(line.substr(0, p1));
+    node.label = decode_label(line.substr(p1 + 1, p2 - p1 - 1));
+    node.adj = decode_ids(line.substr(p2 + 1));
+    k.emplace(node.id, std::move(node));
+  }
+  return {self, std::move(k)};
+}
+
+namespace {
+
+// Adjacency knowledge only grows (from the empty initial list to the full
+// neighbour set), so merging takes the union.
+void merge_into(Knowledge& dst, const Knowledge& src) {
+  for (const auto& [id, node] : src) {
+    auto [it, fresh] = dst.emplace(id, node);
+    if (!fresh) {
+      LOCALD_CHECK(it->second.label == node.label,
+                   "inconsistent label knowledge for the same id");
+      std::vector<Id> merged = it->second.adj;
+      merged.insert(merged.end(), node.adj.begin(), node.adj.end());
+      std::sort(merged.begin(), merged.end());
+      merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
+      it->second.adj = std::move(merged);
+    }
+  }
+}
+
+}  // namespace
+
+Ball ball_from_knowledge(Id self, const Knowledge& k, int radius) {
+  LOCALD_CHECK(k.contains(self), "knowledge must contain the centre");
+  // BFS over known adjacency, depth `radius`.
+  std::vector<Id> order{self};
+  std::map<Id, int> dist{{self, 0}};
+  std::size_t head = 0;
+  while (head < order.size()) {
+    const Id u = order[head++];
+    const int du = dist[u];
+    if (du >= radius) {
+      continue;
+    }
+    auto it = k.find(u);
+    LOCALD_ASSERT(it != k.end(), "BFS reached an unknown node");
+    for (Id w : it->second.adj) {
+      if (k.contains(w) && !dist.contains(w)) {
+        dist[w] = du + 1;
+        order.push_back(w);
+      }
+    }
+  }
+  // Deterministic node order: (distance, id).
+  std::stable_sort(order.begin(), order.end(), [&](Id a, Id b) {
+    return std::pair(dist[a], a) < std::pair(dist[b], b);
+  });
+  std::map<Id, graph::NodeId> index;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    index[order[i]] = static_cast<graph::NodeId>(i);
+  }
+  Ball ball;
+  graph::GraphBuilder builder(static_cast<graph::NodeId>(order.size()));
+  ball.radius = radius;
+  ball.center = index.at(self);
+  std::vector<Id> ball_ids;
+  for (const Id u : order) {
+    const KnownNode& node = k.at(u);
+    ball.labels.push_back(node.label);
+    ball_ids.push_back(u);
+    for (Id w : node.adj) {
+      auto it = index.find(w);
+      if (it != index.end()) {
+        builder.add_edge_if_absent(index.at(u), it->second);
+      }
+    }
+  }
+  ball.g = builder.build();
+  ball.ids = std::move(ball_ids);
+  // to_host is unknown to a message-passing node; leave empty.
+  return ball;
+}
 
 namespace {
 
@@ -81,6 +238,64 @@ std::uint64_t fragment_index(int round, std::int64_t attempt, std::int64_t i) {
          static_cast<std::uint64_t>(i);
 }
 
+// Full-information gathering, the canonical t-round protocol: each round a
+// node broadcasts its whole state (everything it knows) and merges its
+// inbox into it. t + 1 rounds assemble the exact induced radius-t ball (the
+// paper's "t ± 1 rounds" equivalence): edges between two distance-t nodes
+// are only reported after those nodes learned their own adjacency in
+// round 1.
+class FullInfoGather {
+ public:
+  explicit FullInfoGather(const LocalAlgorithm& inner) : inner_(inner) {}
+
+  int rounds() const { return inner_.horizon() + 1; }
+
+  std::string init(Id id, const Label& label) const {
+    Knowledge k;
+    k.emplace(id, KnownNode{id, label, {}});
+    return encode_knowledge(id, k);
+  }
+
+  // The inbox is ordered by neighbour port (ascending node index).
+  std::string update(const std::string& state,
+                     const std::vector<std::string>& inbox) const {
+    auto [self, knowledge] = decode_knowledge(state);
+    std::vector<Id> neighbor_ids;
+    for (const std::string& msg : inbox) {
+      if (msg.empty()) {
+        // A lost message: this round taught us nothing about that port.
+        // Knowledge merging is a union, so a neighbour heard in any other
+        // round still lands in the adjacency.
+        continue;
+      }
+      auto [sender, their] = decode_knowledge(msg);
+      neighbor_ids.push_back(sender);
+      merge_into(knowledge, their);
+    }
+    // Learning who the senders are completes this node's own adjacency.
+    std::sort(neighbor_ids.begin(), neighbor_ids.end());
+    Knowledge own;
+    KnownNode me = knowledge.at(self);
+    me.adj = neighbor_ids;
+    own.emplace(self, std::move(me));
+    merge_into(knowledge, own);
+    return encode_knowledge(self, knowledge);
+  }
+
+  Verdict output(const std::string& state) const {
+    auto [self, knowledge] = decode_knowledge(state);
+    const Ball ball = ball_from_knowledge(self, knowledge, inner_.horizon());
+    BallView view = ball.view();
+    if (inner_.id_oblivious()) {
+      view = view.without_ids();
+    }
+    return inner_.evaluate(view);
+  }
+
+ private:
+  const LocalAlgorithm& inner_;
+};
+
 // A delivery fragment or (frag_total == 0) a definitive-loss notification
 // resolving one inbox slot.
 struct Event {
@@ -111,9 +326,9 @@ struct Slot {
 
 class Engine {
  public:
-  Engine(const MessagePassingAlgorithm& alg, const LabeledGraph& g,
-         const IdAssignment* ids, const FaultKnobs& knobs, std::uint64_t seed)
-      : alg_(alg), g_(g), ids_(ids), knobs_(knobs), seed_(seed) {}
+  Engine(const LocalAlgorithm& alg, const LabeledGraph& g,
+         const IdAssignment& ids, const FaultKnobs& knobs, std::uint64_t seed)
+      : gather_(alg), g_(g), ids_(ids), knobs_(knobs), seed_(seed) {}
 
   EventRunResult run();
 
@@ -128,7 +343,7 @@ class Engine {
   }
 
   // Port of node `u` in `v`'s inbox: the rank of `u` in v's (ascending)
-  // neighbour list — the same ordering the sync engine's inbox uses.
+  // neighbour list.
   int port_of(graph::NodeId v, graph::NodeId u) const {
     const auto nbrs = graph().neighbors(v);
     const auto it = std::lower_bound(nbrs.begin(), nbrs.end(), u);
@@ -147,9 +362,9 @@ class Engine {
   void send_round(graph::NodeId v, int round, std::uint64_t now);
   void advance(graph::NodeId v, std::uint64_t now);
 
-  const MessagePassingAlgorithm& alg_;
+  FullInfoGather gather_;
   const LabeledGraph& g_;
-  const IdAssignment* ids_;
+  const IdAssignment& ids_;
   FaultKnobs knobs_;
   std::uint64_t seed_;
 
@@ -166,8 +381,8 @@ class Engine {
 };
 
 void Engine::send_round(graph::NodeId v, int round, std::uint64_t now) {
-  const std::string msg =
-      alg_.message(state_[static_cast<std::size_t>(v)], round);
+  // Full-information gathering broadcasts the node's whole state.
+  const std::string& msg = state_[static_cast<std::size_t>(v)];
   const std::uint64_t n = static_cast<std::uint64_t>(g_.node_count());
   for (graph::NodeId w : graph().neighbors(v)) {
     const std::uint64_t arc = static_cast<std::uint64_t>(v) * n +
@@ -271,7 +486,7 @@ void Engine::advance(graph::NodeId v, std::uint64_t now) {
   const std::size_t vi = static_cast<std::size_t>(v);
   const std::size_t deg = graph().neighbors(v).size();
   std::uint64_t t = now;
-  while (round_of_[vi] < alg_.rounds()) {
+  while (round_of_[vi] < gather_.rounds()) {
     const int round = round_of_[vi];
     bool complete = true;
     for (std::size_t p = 0; p < deg && complete; ++p) {
@@ -286,33 +501,26 @@ void Engine::advance(graph::NodeId v, std::uint64_t now) {
     for (std::size_t p = 0; p < deg; ++p) {
       inbox.push_back(slot(v, round, static_cast<int>(p)).payload);
     }
-    state_[vi] = alg_.update(state_[vi], inbox, round);
+    state_[vi] = gather_.update(state_[vi], inbox);
     ++round_of_[vi];
-    if (round_of_[vi] < alg_.rounds()) {
+    if (round_of_[vi] < gather_.rounds()) {
       send_round(v, round_of_[vi], t);
     }
   }
 }
 
 EventRunResult Engine::run() {
-  if (ids_ != nullptr) {
-    LOCALD_CHECK(ids_->node_count() == g_.node_count(),
-                 "identifier assignment size mismatch");
-  }
+  LOCALD_CHECK(ids_.node_count() == g_.node_count(),
+               "identifier assignment size mismatch");
   const graph::NodeId n = g_.node_count();
-  const int rounds = alg_.rounds();
+  const int rounds = gather_.rounds();
   state_.resize(static_cast<std::size_t>(n));
   round_of_.assign(static_cast<std::size_t>(n), 0);
   slots_.resize(static_cast<std::size_t>(n));
   round_time_.resize(static_cast<std::size_t>(n));
   for (graph::NodeId v = 0; v < n; ++v) {
-    NodeView view;
-    view.label = g_.label(v);
-    if (ids_ != nullptr) {
-      view.id = ids_->of(v);
-    }
-    view.degree = graph().degree(v);
-    state_[static_cast<std::size_t>(v)] = alg_.init(view);
+    state_[static_cast<std::size_t>(v)] =
+        gather_.init(ids_.of(v), g_.label(v));
     const std::size_t deg = graph().neighbors(v).size();
     slots_[static_cast<std::size_t>(v)].resize(
         static_cast<std::size_t>(rounds) * deg);
@@ -373,7 +581,7 @@ EventRunResult Engine::run() {
   result.verdicts.reserve(static_cast<std::size_t>(n));
   for (graph::NodeId v = 0; v < n; ++v) {
     result.verdicts.push_back(
-        alg_.output(state_[static_cast<std::size_t>(v)]));
+        gather_.output(state_[static_cast<std::size_t>(v)]));
   }
   result.stats = stats_;
 
@@ -393,48 +601,13 @@ EventRunResult Engine::run() {
 
 }  // namespace
 
-EventRunResult run_event_driven(const MessagePassingAlgorithm& alg,
-                                const LabeledGraph& g, const IdAssignment* ids,
-                                const FaultProfileInstance& profile,
-                                std::uint64_t seed) {
-  Engine engine(alg, g, ids, profile.knobs(), seed);
-  return engine.run();
-}
-
 EventRunResult run_via_event_engine(const LocalAlgorithm& alg,
                                     const LabeledGraph& g,
                                     const IdAssignment& ids,
                                     const FaultProfileInstance& profile,
                                     std::uint64_t seed) {
-  // horizon + 1 rounds, as in run_via_message_passing: the extra round lets
-  // distance-t nodes report their own adjacency before outputs.
-  class Wrapper final : public MessagePassingAlgorithm {
-   public:
-    explicit Wrapper(const LocalAlgorithm& inner)
-        : gather_(inner), inner_(&inner) {}
-    std::string name() const override { return gather_.name(); }
-    int rounds() const override { return inner_->horizon() + 1; }
-    std::string init(const NodeView& v) const override {
-      return gather_.init(v);
-    }
-    std::string message(const std::string& s, int r) const override {
-      return gather_.message(s, r);
-    }
-    std::string update(const std::string& s,
-                       const std::vector<std::string>& inbox,
-                       int r) const override {
-      return gather_.update(s, inbox, r);
-    }
-    Verdict output(const std::string& s) const override {
-      return gather_.output(s);
-    }
-
-   private:
-    FullInfoGather gather_;
-    const LocalAlgorithm* inner_;
-  };
-  Wrapper wrapper(alg);
-  return run_event_driven(wrapper, g, &ids, profile, seed);
+  Engine engine(alg, g, ids, profile.knobs(), seed);
+  return engine.run();
 }
 
 EventEngineCounters event_engine_counters() {

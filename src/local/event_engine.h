@@ -1,17 +1,31 @@
-// Event-driven message-passing runtime with seeded fault injection.
+// The message-passing view of the LOCAL model: an event-driven runtime with
+// seeded fault injection.
 //
-// `local/sync_engine` runs the LOCAL model's clean lockstep rounds. This
-// engine runs the SAME algorithm interface over a discrete-event simulation
-// instead: messages become events on a priority queue ordered by (virtual
-// time, sequence number), and a fault profile (local/fault_profile.h) may
-// delay, drop, retransmit, or fragment them in flight. Nodes progress in
+// Section 1.2 notes that a local algorithm with horizon t is equivalent to a
+// distributed algorithm running t (± 1) synchronous rounds: nodes exchange
+// unbounded messages with neighbours, then output. This engine runs that
+// view. Every node floods its (id, label, adjacency) knowledge for
+// horizon + 1 rounds (full-information gathering), rebuilds
+// (G, x, Id) |` B(v, t) from what arrived, and hands it to any
+// `LocalAlgorithm`. Direct ball evaluation (`run_local_algorithm`) is the
+// paper's own definition and the reference: under the `none` profile, and
+// under any profile that perturbs timing without losing information (delay,
+// fragmentation), the engine reproduces it verbatim (tested).
+//
+// Messages are events on a priority queue ordered by (virtual time,
+// sequence number), and a fault profile (local/fault_profile.h) may delay,
+// drop, retransmit, or fragment them in flight. Nodes progress in
 // alpha-synchronizer style — a node applies its round-r update the moment
 // every round-r inbox slot has resolved (payload delivered or definitively
 // lost), buffering messages that arrive for future rounds — so the
-// execution is asynchronous even though the algorithm is written in rounds.
+// execution is asynchronous even though the protocol is written in rounds.
+//
+// The engine uses identifiers as transport addresses during flooding. For an
+// Id-oblivious inner algorithm the reconstructed ball is stripped before
+// evaluation, so obliviousness remains framework-enforced.
 //
 // Determinism contract: the schedule is a pure function of
-// (graph, algorithm, profile, seed).
+// (graph, horizon, profile, seed).
 //  - Every fault decision (drop per attempt, delay per message, jitter per
 //    fragment) is drawn from a counter-based stream
 //    `Rng::stream(seed ^ plane, arc, index(round, attempt))`, keyed by the
@@ -19,11 +33,8 @@
 //    so decisions are call-order-independent.
 //  - The queue orders ties by a sequence number assigned at push time, and
 //    one run is a single-threaded simulation, so pops are totally ordered.
-//  - A lost message resolves its inbox slot to the empty string: the
-//    algorithm sees a fixed-arity inbox (one slot per port, in port order)
-//    with gaps, exactly the sync engine's shape.
-// Under the `none` profile every message arrives at its synchronous slot
-// and the engine reproduces `run_message_passing` verbatim (tested).
+//  - A lost message resolves its inbox slot to the empty string: a node
+//    sees a fixed-arity inbox (one slot per port, in port order) with gaps.
 //
 // EventStats is part of the deterministic result — it reports the simulated
 // schedule, not wall-clock behaviour — so scenarios may print it in
@@ -33,12 +44,35 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "local/algorithm.h"
 #include "local/fault_profile.h"
-#include "local/sync_engine.h"
+#include "local/labeled_graph.h"
 
 namespace locald::local {
+
+// What one node knows about another after flooding.
+struct KnownNode {
+  Id id = 0;
+  Label label;
+  std::vector<Id> adj;  // full adjacency, as ids (may mention unknown nodes)
+
+  bool operator==(const KnownNode&) const = default;
+};
+
+using Knowledge = std::map<Id, KnownNode>;
+
+// Serialization used as message payload (exercised directly by tests).
+std::string encode_knowledge(Id self, const Knowledge& k);
+std::pair<Id, Knowledge> decode_knowledge(const std::string& payload);
+
+// Rebuilds the induced radius-t ball around `self` from flooded knowledge.
+// Only information actually contained in the knowledge map is used.
+Ball ball_from_knowledge(Id self, const Knowledge& k, int radius);
 
 // Deterministic statistics of one simulated schedule.
 struct EventStats {
@@ -59,17 +93,10 @@ struct EventRunResult {
   EventStats stats;
 };
 
-// Runs `alg.rounds()` rounds of `alg` on the event engine under `profile`.
-// `ids` may be null for anonymous runs (as in run_message_passing).
-EventRunResult run_event_driven(const MessagePassingAlgorithm& alg,
-                                const LabeledGraph& g, const IdAssignment* ids,
-                                const FaultProfileInstance& profile,
-                                std::uint64_t seed);
-
-// Convenience mirroring run_via_message_passing: full-information gathering
-// for `alg` (horizon + 1 rounds) through the event engine. Under `none`
-// this reproduces run_via_message_passing's verdicts exactly; under lossy
-// profiles nodes decide on whatever partial ball knowledge got through.
+// Runs `alg` through full-information gathering (horizon + 1 rounds) on the
+// event engine under `profile`. Under `none` this reproduces
+// run_local_algorithm's outputs exactly; under lossy profiles nodes decide
+// on whatever partial ball knowledge got through.
 EventRunResult run_via_event_engine(const LocalAlgorithm& alg,
                                     const LabeledGraph& g,
                                     const IdAssignment& ids,

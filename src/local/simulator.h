@@ -33,7 +33,7 @@ struct RunOptions {
   // deterministic ones.
   std::uint64_t seed = 0;
   // Visibility radius override; unset means the algorithm's own horizon().
-  std::optional<int> radius;
+  std::optional<int> radius = std::nullopt;
 };
 
 struct RunResult {

@@ -6,8 +6,9 @@
 //  - `BugError`: an internal invariant broke; indicates a defect in locald
 //    itself rather than in the caller's input.
 //
-// Both carry the source location of the failed check so that test failures
-// and example output point at the violated condition directly.
+// Both name the failed condition. Only `BugError` carries the source
+// location of the check: an `Error` reaches callers (CLI documents, HTTP 400
+// bodies), and its text must not depend on where locald was built.
 #pragma once
 
 #include <stdexcept>
@@ -32,19 +33,22 @@ namespace detail {
 [[noreturn]] inline void throw_check_failure(const char* kind, const char* expr,
                                              const char* file, int line,
                                              const std::string& msg) {
+  const bool caller_error = kind[0] == 'L';  // LOCALD_CHECK
   std::string out;
   out += kind;
   out += " failed: ";
   out += expr;
-  out += " at ";
-  out += file;
-  out += ":";
-  out += std::to_string(line);
+  if (!caller_error) {
+    out += " at ";
+    out += file;
+    out += ":";
+    out += std::to_string(line);
+  }
   if (!msg.empty()) {
     out += " — ";
     out += msg;
   }
-  if (kind[0] == 'L') {  // LOCALD_CHECK → caller error
+  if (caller_error) {
     throw Error(out);
   }
   throw BugError(out);

@@ -1,10 +1,13 @@
-// The event-driven message-passing runtime (local/event_engine.h).
+// The event-driven runtime of local/event_engine.h under faults.
 //
 // The engine's two promises, tested head-on:
 //  1. Equivalence: under the `none` control profile — and under any profile
 //     that perturbs timing without losing information (delay, fragmentation)
-//     — the event-driven execution reproduces the synchronous engine's
-//     verdicts exactly, on every topology tried.
+//     — verdicts reproduce direct ball evaluation (run_local_algorithm, the
+//     paper's definition) on every topology tried; heavy loss perturbs them
+//     but never wedges the run. The knowledge codec and the equivalence on
+//     random graphs, id assignments and horizons are in
+//     test_sync_engine.cpp.
 //  2. Determinism: verdicts AND schedule statistics are pure functions of
 //     (graph, algorithm, profile, seed); repeat runs agree field for field,
 //     and different seeds reshuffle faulty schedules without touching the
@@ -20,7 +23,7 @@
 #include "local/fault_profile.h"
 #include "local/identifiers.h"
 #include "local/labeled_graph.h"
-#include "local/sync_engine.h"
+#include "local/simulator.h"
 
 namespace locald::local {
 namespace {
@@ -56,7 +59,7 @@ std::vector<graph::CsrGraph> topologies() {
   return out;
 }
 
-TEST(EventEngine, NoneProfileReproducesSyncEngineEverywhere) {
+TEST(EventEngine, NoneProfileReproducesBallEvaluationEverywhere) {
   const auto control = resolve_faults_text("none");
   const auto alg = even_degree();
   const auto tri = triangle_free();
@@ -64,11 +67,11 @@ TEST(EventEngine, NoneProfileReproducesSyncEngineEverywhere) {
     const LabeledGraph instance(g);
     const IdAssignment ids = make_consecutive(g.node_count());
     for (const LocalAlgorithm* a : {alg.get(), tri.get()}) {
-      const std::vector<Verdict> sync =
-          run_via_message_passing(*a, instance, ids);
+      const RunResult direct = run_local_algorithm(*a, instance, ids);
       const EventRunResult event =
           run_via_event_engine(*a, instance, ids, control, 42);
-      EXPECT_EQ(event.verdicts, sync) << a->name() << " on n=" << g.node_count();
+      EXPECT_EQ(event.verdicts, direct.outputs)
+          << a->name() << " on n=" << g.node_count();
       EXPECT_EQ(event.stats.messages_dropped, 0u);
       EXPECT_EQ(event.stats.messages_delayed, 0u);
       EXPECT_EQ(event.stats.fragments_sent, 0u);
@@ -78,8 +81,8 @@ TEST(EventEngine, NoneProfileReproducesSyncEngineEverywhere) {
 }
 
 // Delay and fragmentation perturb the schedule, never the information: the
-// α-synchronizer waits out every slot, so verdicts still match the sync
-// engine even though messages arrive late and in pieces.
+// α-synchronizer waits out every slot, so verdicts still match direct ball
+// evaluation even though messages arrive late and in pieces.
 TEST(EventEngine, LosslessProfilesPreserveVerdicts) {
   const auto alg = even_degree();
   for (const char* selector :
@@ -88,11 +91,10 @@ TEST(EventEngine, LosslessProfilesPreserveVerdicts) {
     for (const graph::CsrGraph& g : topologies()) {
       const LabeledGraph instance(g);
       const IdAssignment ids = make_consecutive(g.node_count());
-      const std::vector<Verdict> sync =
-          run_via_message_passing(*alg, instance, ids);
+      const RunResult direct = run_local_algorithm(*alg, instance, ids);
       const EventRunResult event =
           run_via_event_engine(*alg, instance, ids, profile, 7);
-      EXPECT_EQ(event.verdicts, sync)
+      EXPECT_EQ(event.verdicts, direct.outputs)
           << selector << " on n=" << g.node_count();
       EXPECT_EQ(event.stats.messages_dropped, 0u) << selector;
     }
@@ -124,16 +126,16 @@ TEST(EventEngine, HeavyLossPerturbsVerdictsButNeverWedges) {
   const auto alg = even_degree();
   const LabeledGraph instance(graph::make_cycle(10));
   const IdAssignment ids = make_consecutive(instance.node_count());
-  const std::vector<Verdict> sync =
-      run_via_message_passing(*alg, instance, ids);
+  const std::vector<Verdict> reference =
+      run_local_algorithm(*alg, instance, ids).outputs;
   const auto lossy = resolve_faults_text("drop:per-mille=900,attempts=1");
   const EventRunResult faulty =
       run_via_event_engine(*alg, instance, ids, lossy, 42);
   // Every node still terminates and outputs...
-  ASSERT_EQ(faulty.verdicts.size(), sync.size());
+  ASSERT_EQ(faulty.verdicts.size(), reference.size());
   // ...but with 90% loss some node must have missed a neighbour and seen an
   // undersized ball.
-  EXPECT_NE(faulty.verdicts, sync);
+  EXPECT_NE(faulty.verdicts, reference);
   EXPECT_GT(faulty.stats.messages_dropped, 0u);
 }
 

@@ -26,7 +26,22 @@ TEST(Check, AssertThrowsBugError) {
   EXPECT_NO_THROW(LOCALD_ASSERT(true, "fine"));
 }
 
+// An internal invariant names its source location for the developer.
 TEST(Check, MessageCarriesLocationAndText) {
+  try {
+    LOCALD_ASSERT(1 == 2, "custom context");
+    FAIL() << "expected a throw";
+  } catch (const BugError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("1 == 2"), std::string::npos);
+    EXPECT_NE(what.find("custom context"), std::string::npos);
+    EXPECT_NE(what.find("test_support.cpp"), std::string::npos);
+  }
+}
+
+// A caller-facing error reaches documents and HTTP bodies, so its text
+// names the condition but never the file it was compiled from.
+TEST(Check, ErrorTextOmitsSourceLocation) {
   try {
     LOCALD_CHECK(1 == 2, "custom context");
     FAIL() << "expected a throw";
@@ -34,7 +49,8 @@ TEST(Check, MessageCarriesLocationAndText) {
     const std::string what = e.what();
     EXPECT_NE(what.find("1 == 2"), std::string::npos);
     EXPECT_NE(what.find("custom context"), std::string::npos);
-    EXPECT_NE(what.find("test_support.cpp"), std::string::npos);
+    EXPECT_EQ(what.find(__FILE__), std::string::npos) << what;
+    EXPECT_EQ(what.find("test_support.cpp"), std::string::npos) << what;
   }
 }
 

@@ -1,11 +1,24 @@
-// Tests for the message-passing view of LOCAL: knowledge serialization,
-// flooding, ball reconstruction, and the equivalence between t-round
-// message passing and direct ball evaluation.
+// Synchronous-round semantics of LOCAL (paper §1.2): a horizon-t algorithm
+// is the same as t (± 1) synchronous rounds of full-information flooding.
+// Covers the knowledge codec and ball reconstruction the flooding relies on
+// (local/event_engine.h), and checks that the event engine run under the
+// `none` control profile — and under any profile that perturbs timing
+// without losing information (delay, fragmentation) — reproduces direct
+// ball evaluation (run_local_algorithm, the paper's definition) verbatim, on
+// every topology, id assignment and horizon tried.
+//
+// Fault behaviour and schedule statistics are in test_event_engine.cpp.
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "graph/generators.h"
+#include "local/ball.h"
+#include "local/event_engine.h"
+#include "local/fault_profile.h"
+#include "local/identifiers.h"
+#include "local/labeled_graph.h"
 #include "local/simulator.h"
-#include "local/sync_engine.h"
 #include "props/properties.h"
 
 namespace locald::local {
@@ -75,14 +88,23 @@ TEST(Knowledge, ReconstructionIgnoresNodesBeyondRadius) {
 }
 
 // The headline equivalence: running any local algorithm through t+1 rounds
-// of full-information flooding produces exactly the per-node outputs of
-// direct ball evaluation.
+// of full-information flooding on the event engine produces exactly the
+// per-node outputs of direct ball evaluation.
 void expect_equivalence(const LocalAlgorithm& alg, const LabeledGraph& g,
-                        const IdAssignment& ids) {
+                        const IdAssignment& ids,
+                        const char* selector = "none",
+                        std::uint64_t seed = 42) {
   const RunResult direct = run_local_algorithm(alg, g, ids);
-  const std::vector<Verdict> via_mp = run_via_message_passing(alg, g, ids);
-  EXPECT_EQ(direct.outputs, via_mp) << alg.name();
+  const EventRunResult event =
+      run_via_event_engine(alg, g, ids, resolve_faults_text(selector), seed);
+  EXPECT_EQ(direct.outputs, event.verdicts) << alg.name() << " under "
+                                            << selector;
+  EXPECT_EQ(event.stats.messages_dropped, 0u) << selector;
 }
+
+// The profiles that perturb timing but never lose information.
+constexpr const char* kLosslessProfiles[] = {"none", "delay:max=7",
+                                             "fragment:pieces=5"};
 
 TEST(Equivalence, ColoringDeciderOnCycle) {
   LabeledGraph g(make_cycle(6), {Label{0}, Label{1}, Label{0}, Label{1},
@@ -103,7 +125,9 @@ TEST(Equivalence, IdAwareAlgorithmOnGrid) {
     }
     return Verdict::yes;
   });
-  expect_equivalence(*alg, g, ids);
+  for (const char* selector : kLosslessProfiles) {
+    expect_equivalence(*alg, g, ids, selector);
+  }
 }
 
 TEST(Equivalence, HorizonZero) {
@@ -122,10 +146,12 @@ struct EquivParam {
   std::uint64_t seed;
 };
 
-class EquivalenceSweep : public ::testing::TestWithParam<EquivParam> {};
+// Graph shape x lossless fault profile.
+class EquivalenceSweep
+    : public ::testing::TestWithParam<std::tuple<EquivParam, const char*>> {};
 
 TEST_P(EquivalenceSweep, RandomGraphsRandomHorizons) {
-  const auto p = GetParam();
+  const auto [p, selector] = GetParam();
   Rng rng(p.seed);
   const graph::CsrGraph raw = graph::make_random_connected(
       static_cast<graph::NodeId>(p.n), static_cast<graph::NodeId>(p.extra),
@@ -145,15 +171,17 @@ TEST_P(EquivalenceSweep, RandomGraphsRandomHorizons) {
                                     b.center_label().at(0))) % 2;
         return parity == 0 ? Verdict::yes : Verdict::no;
       });
-  expect_equivalence(*alg, g, ids);
+  expect_equivalence(*alg, g, ids, selector, p.seed);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Random, EquivalenceSweep,
-    ::testing::Values(EquivParam{8, 4, 1, 11}, EquivParam{12, 6, 2, 12},
-                      EquivParam{16, 10, 1, 13}, EquivParam{16, 3, 3, 14},
-                      EquivParam{24, 12, 2, 15}, EquivParam{30, 20, 1, 16},
-                      EquivParam{10, 35, 2, 17}));
+    ::testing::Combine(
+        ::testing::Values(EquivParam{8, 4, 1, 11}, EquivParam{12, 6, 2, 12},
+                          EquivParam{16, 10, 1, 13}, EquivParam{16, 3, 3, 14},
+                          EquivParam{24, 12, 2, 15}, EquivParam{30, 20, 1, 16},
+                          EquivParam{10, 35, 2, 17}),
+        ::testing::ValuesIn(kLosslessProfiles)));
 
 }  // namespace
 }  // namespace locald::local
