@@ -223,19 +223,10 @@ int list_faults(const ScenarioOptions& opts, const std::string& format) {
 // for the same (scenario, seed, size, trials) — CI byte-compares the two.
 int run_scenario_json(const std::string& name, const ScenarioOptions& base,
                       int threads) {
-  const Scenario* scenario = find_scenario(name);
-  if (scenario == nullptr) {
-    std::cerr << "unknown scenario: " << name << " (see `locald list`)\n";
-    return 2;
-  }
-  if (!base.family.empty() && scenario->family_help.empty()) {
-    std::cerr << "scenario " << name << " does not take --family (see "
-              << "`locald help " << name << "`)\n";
-    return 2;
-  }
-  if (!base.faults.empty() && scenario->fault_help.empty()) {
-    std::cerr << "scenario " << name << " does not take --faults (see "
-              << "`locald help " << name << "`)\n";
+  try {
+    check_request(name, base.family, base.faults);
+  } catch (const Error& e) {
+    std::cerr << e.what() << "\n";
     return 2;
   }
   std::optional<exec::ThreadPool> pool;
@@ -306,27 +297,23 @@ int help_scenario(const std::string& name) {
 
 int run_scenarios(const std::vector<std::string>& names,
                   const ScenarioOptions& base_opts, int threads) {
+  // Every name and selector is checked before the first scenario runs.
+  std::vector<const Scenario*> scenarios;
+  for (const std::string& name : names) {
+    try {
+      scenarios.push_back(
+          &check_request(name, base_opts.family, base_opts.faults));
+    } catch (const Error& e) {
+      std::cerr << e.what() << "\n";
+      return 2;
+    }
+  }
   std::optional<exec::ThreadPool> pool;
   if (threads != 1) {
     pool.emplace(threads);
   }
   bool all_ok = true;
-  for (const std::string& name : names) {
-    const Scenario* s = find_scenario(name);
-    if (s == nullptr) {
-      std::cerr << "unknown scenario: " << name << " (see `locald list`)\n";
-      return 2;
-    }
-    if (!base_opts.family.empty() && s->family_help.empty()) {
-      std::cerr << "scenario " << name << " does not take --family (see "
-                << "`locald help " << name << "`)\n";
-      return 2;
-    }
-    if (!base_opts.faults.empty() && s->fault_help.empty()) {
-      std::cerr << "scenario " << name << " does not take --faults (see "
-                << "`locald help " << name << "`)\n";
-      return 2;
-    }
+  for (const Scenario* s : scenarios) {
     // Fresh cache per scenario: memoized verdicts are keyed by algorithm
     // name, so scoping the cache to one scenario run keeps name reuse
     // across scenarios harmless.

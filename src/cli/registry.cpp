@@ -1,6 +1,8 @@
 #include "cli/scenario.h"
 
 #include "cli/scenarios.h"
+#include "gen/family.h"
+#include "local/fault_profile.h"
 
 namespace locald::cli {
 
@@ -26,6 +28,29 @@ const Scenario* find_scenario(const std::string& name) {
     }
   }
   return nullptr;
+}
+
+const Scenario& check_request(const std::string& name,
+                              const std::string& family,
+                              const std::string& faults) {
+  const Scenario* scenario = find_scenario(name);
+  if (scenario == nullptr) {
+    throw UnknownScenario(cat("unknown scenario ", json_quote(name),
+                              " (see `locald list` or /v1/scenarios)"));
+  }
+  const auto does_not_take = [&](const char* what) {
+    return Error(cat("scenario ", json_quote(name), " does not take ", what,
+                     " (see `locald help ", name, "`)"));
+  };
+  if (!family.empty()) {
+    if (scenario->family_help.empty()) throw does_not_take("a family");
+    (void)gen::resolve_family_text(family);
+  }
+  if (!faults.empty()) {
+    if (scenario->fault_help.empty()) throw does_not_take("a fault profile");
+    (void)local::resolve_faults_text(faults);
+  }
+  return *scenario;
 }
 
 void emit_table(std::ostream& out, const ScenarioOptions& opts,

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "exec/context.h"
+#include "support/check.h"
 #include "support/format.h"
 
 namespace locald::cli {
@@ -71,6 +72,22 @@ const std::vector<Scenario>& scenario_registry();
 
 // Lookup by CLI name; nullptr when unknown.
 const Scenario* find_scenario(const std::string& name);
+
+// A scenario name the registry does not know (HTTP 404 rather than 400).
+class UnknownScenario : public Error {
+ public:
+  using Error::Error;
+};
+
+// The one check of a scenario request before anything runs, shared by
+// `locald run`, `locald sweep`, POST /v1/run and POST /v1/sweep. `name` must
+// be registered (else UnknownScenario); a non-empty `family` / `faults`
+// selector must go to a scenario that takes one and must resolve
+// (gen::resolve_family_text, local::resolve_faults_text). Every failure
+// throws `Error`: a usage error (exit 2 / HTTP 400), never a mismatch.
+const Scenario& check_request(const std::string& name,
+                              const std::string& family,
+                              const std::string& faults);
 
 // Shared table emission: a titled aligned table in text mode, a
 // `# title`-prefixed RFC-4180 block in CSV mode.

@@ -57,22 +57,11 @@ CellResult run_cell(const Scenario& scenario, const SweepOptions& sweep,
 
 int run_sweep(const std::string& scenario_name, const SweepOptions& sweep,
               std::ostream& out, const std::function<void()>& flush) {
-  const Scenario* scenario = find_scenario(scenario_name);
-  if (scenario == nullptr) {
-    std::cerr << "unknown scenario: " << scenario_name
-              << " (see `locald list`)\n";
-    return 2;
-  }
-  if (!sweep.family.empty() && scenario->family_help.empty()) {
-    std::cerr << "scenario " << scenario_name
-              << " does not take --family (see `locald help " << scenario_name
-              << "`)\n";
-    return 2;
-  }
-  if (!sweep.faults.empty() && scenario->fault_help.empty()) {
-    std::cerr << "scenario " << scenario_name
-              << " does not take --faults (see `locald help " << scenario_name
-              << "`)\n";
+  const Scenario* scenario = nullptr;
+  try {
+    scenario = &check_request(scenario_name, sweep.family, sweep.faults);
+  } catch (const Error& e) {
+    std::cerr << e.what() << "\n";
     return 2;
   }
   std::vector<int> sizes = sweep.sizes;

@@ -33,10 +33,11 @@ class LocalAlgorithm {
   // May the execution engine memoize this algorithm's verdicts per
   // canonical ball class (exec/verdict_cache.h)? True requires the verdict
   // to be a pure function of the ball's canonical encoding — deterministic
-  // and invariant under ball-node renumbering. Algorithms whose answer can
-  // depend on the concrete node numbering (e.g. the sampled Id-oblivious
-  // simulation, which applies candidate id lists by node index) must
-  // override this to false; the simulator then bypasses the cache.
+  // and invariant under ball-node renumbering — and `name()` to tell apart
+  // any two configurations that can disagree. An algorithm whose answer can
+  // depend on the concrete node numbering must override this to false; the
+  // simulator then bypasses the cache. (The Id-oblivious simulation A*
+  // qualifies: it applies sampled id lists in canonical order.)
   virtual bool memoization_safe() const { return true; }
 
   // `ball` has ids stripped iff id_oblivious().

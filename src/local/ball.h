@@ -35,6 +35,7 @@
 
 #include "graph/ball_slice.h"
 #include "graph/csr.h"
+#include "graph/isomorphism.h"
 #include "local/identifiers.h"
 #include "local/label.h"
 #include "local/labeled_graph.h"
@@ -90,6 +91,11 @@ struct BallView {
   // caller keeps the vector alive (and unmoved) for the view's lifetime.
   BallView with_ids(const std::vector<Id>& new_ids) const;
 
+  // The canonical labelling behind canonical_encoding(): `order[i]` is the
+  // ball node at canonical position i, and `encoding` is exactly
+  // canonical_encoding(). `fingerprint` is left 0 (canonical_fingerprint()
+  // hashes the encoding when a key is needed).
+  graph::CanonicalForm canonical_form() const;
   // Complete invariant; see file comment.
   std::string canonical_encoding() const;
   std::uint64_t canonical_fingerprint() const;

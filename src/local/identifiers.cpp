@@ -57,11 +57,6 @@ IdBound IdBound::linear_plus(Id k) {
                  [k](Id n) { return n + k; });
 }
 
-IdBound IdBound::scaled(Id c) {
-  LOCALD_CHECK(c >= 1, "scale must be at least 1");
-  return IdBound(std::to_string(c) + "n", [c](Id n) { return c * n; });
-}
-
 IdBound IdBound::quadratic() {
   return IdBound("n^2+1", [](Id n) { return n * n + 1; });
 }

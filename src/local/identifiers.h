@@ -53,8 +53,6 @@ class IdBound {
   // f(n) = n + k. k = 1 is the tightest legal bound: ids are a permutation
   // of a subset of [0, n].
   static IdBound linear_plus(Id k);
-  // f(n) = c * n.
-  static IdBound scaled(Id c);
   // f(n) = n^2 + 1.
   static IdBound quadratic();
 

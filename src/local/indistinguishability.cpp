@@ -1,7 +1,6 @@
 #include "local/indistinguishability.h"
 
 #include "graph/isomorphism.h"
-#include "local/simulator.h"
 #include "support/hash.h"
 
 namespace locald::local {
@@ -43,7 +42,6 @@ void BallProfile::add_graph(const LabeledGraph& g,
                             const exec::ExecContext& ctx) {
   for (const std::uint64_t fp : ball_fingerprints(g, radius_, ctx)) {
     fingerprints_.insert(fp);
-    ++balls_seen_;
   }
 }
 
@@ -52,7 +50,6 @@ void BallProfile::add_ball(const BallView& ball) {
                "ball profiles aggregate Id-oblivious (stripped) balls");
   LOCALD_CHECK(ball.radius == radius_, "ball radius mismatch");
   fingerprints_.insert(ball.canonical_fingerprint());
-  ++balls_seen_;
 }
 
 bool BallProfile::contains(const BallView& ball) const {
@@ -88,11 +85,6 @@ AuditResult audit_indistinguishability(const LabeledGraph& no_instance,
   }
   result.distinct_balls = seen.size();
   return result;
-}
-
-bool oblivious_accepts(const LocalAlgorithm& alg,
-                       const LabeledGraph& instance) {
-  return run_oblivious(alg, instance).accepted;
 }
 
 }  // namespace locald::local

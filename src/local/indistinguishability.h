@@ -48,14 +48,12 @@ class BallProfile {
   bool contains(const BallView& ball) const;
 
   std::size_t distinct_balls() const { return fingerprints_.size(); }
-  std::size_t balls_seen() const { return balls_seen_; }
 
   static BallProfile of_graph(const LabeledGraph& g, int radius);
 
  private:
   int radius_;
   std::unordered_set<std::uint64_t> fingerprints_;
-  std::size_t balls_seen_ = 0;
 };
 
 struct AuditResult {
@@ -78,11 +76,5 @@ AuditResult audit_indistinguishability(const LabeledGraph& no_instance,
                                        const BallProfile& yes_profile,
                                        const exec::ExecContext& ctx = {},
                                        std::size_t max_witnesses = 5);
-
-// Runs the oblivious algorithm on the no-instance and reports whether it
-// (incorrectly, given a successful audit) accepts. Convenience for
-// experiments that pair the audit with a concrete candidate decider.
-bool oblivious_accepts(const LocalAlgorithm& alg,
-                       const LabeledGraph& instance);
 
 }  // namespace locald::local

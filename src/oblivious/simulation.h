@@ -11,13 +11,15 @@
 // Substitution (documented in docs/ARCHITECTURE.md): the infinite search is realized
 // as exhaustive enumeration when the injection count fits the budget and
 // as seeded random sampling otherwise; `id_universe` is the finite stand-in
-// for N.
+// for N. Sampled candidates are applied in the ball's canonical order, so
+// every verdict is a pure function of the ball's isomorphism class and the
+// simulation memoizes through the shared `VerdictCache` like any other
+// deterministic algorithm.
 #pragma once
 
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 
 #include "exec/thread_pool.h"
 #include "local/algorithm.h"
@@ -31,17 +33,18 @@ struct SimulationOptions {
   // Candidate assignments are searched on this pool when set (null: serial).
   // The verdict is an exists-quantifier over a candidate set fixed by
   // (seed, ball fingerprint) counter streams, so it is identical at every
-  // thread count; only `assignments_tried` may vary under parallelism.
+  // thread count; only `assignments_tried` may vary under parallelism. The
+  // pool is not part of name(): it never changes a verdict.
   exec::ThreadPool* pool = nullptr;
 };
 
 // Statistics of the most recent completed evaluation (exposed for the
 // experiments). When the same simulation object is evaluated from several
 // threads at once — e.g. under the parallel node loop — the snapshot is the
-// last evaluation to finish.
+// last evaluation to finish. A ball answered from a `VerdictCache` never
+// reaches evaluate() and leaves the snapshot unchanged.
 struct SimulationStats {
   bool exhaustive = false;          // full injection enumeration used
-  bool memo_hit = false;            // answered from the exhaustive-mode memo
   std::size_t assignments_tried = 0;
 };
 
@@ -50,18 +53,12 @@ class ObliviousSimulation final : public local::LocalAlgorithm {
   ObliviousSimulation(std::shared_ptr<const local::LocalAlgorithm> inner,
                       SimulationOptions options);
 
+  // Names the inner algorithm and every option that can change a verdict
+  // (universe, budget, seed), so simulations that may disagree never share
+  // a `VerdictCache` or `VerdictStore` key.
   std::string name() const override;
   int horizon() const override { return inner_->horizon(); }
   bool id_oblivious() const override { return true; }
-  // Sampled-mode verdicts are not invariant under ball-node renumbering:
-  // the candidate id lists are applied by node index, so two isomorphic
-  // balls with different numbering are probed with different effective
-  // assignments. Memoizing per canonical class would be unsound for an
-  // id-dependent inner algorithm. Exhaustive-mode verdicts, by contrast,
-  // quantify over EVERY injection, so they ARE class-invariant — the
-  // simulation memoizes those internally per canonical encoding (below)
-  // even though the external cache must stay off.
-  bool memoization_safe() const override { return false; }
 
   local::Verdict evaluate(const local::BallView& ball) const override;
 
@@ -75,13 +72,6 @@ class ObliviousSimulation final : public local::LocalAlgorithm {
   SimulationOptions options_;
   mutable std::mutex stats_mu_;
   mutable SimulationStats stats_;
-  // Exhaustive-mode verdict memo, keyed by the stripped ball's canonical
-  // encoding (graph/isomorphism.h): whether some injection rejects is a
-  // pure function of the ball's isomorphism class when every injection is
-  // enumerated, so a hit can never change a verdict — it only skips a
-  // full enumeration. Deterministic at any thread count for that reason.
-  mutable std::mutex memo_mu_;
-  mutable std::unordered_map<std::string, bool> exhaustive_memo_;
 };
 
 std::unique_ptr<ObliviousSimulation> make_oblivious_simulation(

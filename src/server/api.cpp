@@ -89,23 +89,6 @@ void reject_unknown_fields(const JsonValue& root,
 
 }  // namespace
 
-// A scenario must opt into family parameterization before a request may
-// select one; checked before running anything so the mistake surfaces as a
-// 400, not a half-run document (or a half-streamed one).
-void check_family_supported(const cli::Scenario& scenario,
-                            const std::string& family) {
-  LOCALD_CHECK(family.empty() || !scenario.family_help.empty(),
-               cat("scenario ", json_quote(scenario.name),
-                   " does not take a family"));
-}
-
-void check_faults_supported(const cli::Scenario& scenario,
-                            const std::string& fault_profile) {
-  LOCALD_CHECK(fault_profile.empty() || !scenario.fault_help.empty(),
-               cat("scenario ", json_quote(scenario.name),
-                   " does not take a fault profile"));
-}
-
 RunRequest parse_run_request(const std::string& body) {
   const JsonValue root = parse_object_body(body);
   reject_unknown_fields(
@@ -289,12 +272,8 @@ std::string version_document() {
 
 std::string run_document(const RunRequest& request,
                          const exec::ExecContext& exec, bool* ok_out) {
-  const cli::Scenario* scenario = cli::find_scenario(request.scenario);
-  LOCALD_CHECK(scenario != nullptr,
-               cat("unknown scenario ", json_quote(request.scenario),
-                   " (see /v1/scenarios or `locald list`)"));
-  check_family_supported(*scenario, request.family);
-  check_faults_supported(*scenario, request.fault_profile);
+  const cli::Scenario& scenario = cli::check_request(
+      request.scenario, request.family, request.fault_profile);
 
   cli::ScenarioOptions opts;
   opts.seed = request.seed;
@@ -309,8 +288,8 @@ std::string run_document(const RunRequest& request,
   bool ok = false;
   std::string error;
   try {
-    obs::Span span("run-document", scenario->name);
-    ok = scenario->run(opts, tables);
+    obs::Span span("run-document", scenario.name);
+    ok = scenario.run(opts, tables);
   } catch (const std::exception& e) {
     error = e.what();
   }
@@ -324,9 +303,9 @@ std::string run_document(const RunRequest& request,
   w.key("schema_version");
   w.value(kSchemaVersion);
   w.key("scenario");
-  w.value(scenario->name);
+  w.value(scenario.name);
   w.key("paper_ref");
-  w.value(scenario->paper_ref);
+  w.value(scenario.paper_ref);
   w.key("seed");
   w.value(request.seed);
   w.key("size");
@@ -360,14 +339,9 @@ namespace {
 
 cli::SweepOptions sweep_options_for(const SweepRequest& request,
                                     exec::ThreadPool* pool) {
-  // Existence is checked here so the HTTP layer can answer 404 before
-  // running (or streaming) anything; run_sweep re-checks internally.
-  const cli::Scenario* scenario = cli::find_scenario(request.scenario);
-  LOCALD_CHECK(scenario != nullptr,
-               cat("unknown scenario ", json_quote(request.scenario),
-                   " (see /v1/scenarios or `locald list`)"));
-  check_family_supported(*scenario, request.family);
-  check_faults_supported(*scenario, request.fault_profile);
+  // Checked here so the HTTP layer can answer 404 / 400 before running (or
+  // streaming) anything; run_sweep re-checks internally.
+  cli::check_request(request.scenario, request.family, request.fault_profile);
   cli::SweepOptions sweep;
   sweep.seed = request.seed;
   sweep.sizes = request.sizes;

@@ -78,7 +78,8 @@ std::string version_document();
 // the scenario with `exec` (shared pool + cache on the server; per-run on
 // the CLI — the engine contract makes the bytes identical either way) and
 // reports whether the paper's prediction was reproduced. `ok_out`, when
-// non-null, receives the verdict for exit-code plumbing.
+// non-null, receives the verdict for exit-code plumbing. A request that
+// fails `cli::check_request` throws before anything runs.
 std::string run_document(const RunRequest& request,
                          const exec::ExecContext& exec, bool* ok_out);
 
@@ -99,18 +100,6 @@ void sweep_document_stream(const SweepRequest& request,
                            exec::ThreadPool* pool,
                            const std::function<void(const std::string&)>& emit,
                            bool* ok_out);
-
-// Throws `Error` (HTTP 400) when `family` is non-empty but `scenario` is
-// not family-parameterized. The serving layer runs this before committing
-// to a streamed response head; the document builders re-check internally.
-void check_family_supported(const cli::Scenario& scenario,
-                            const std::string& family);
-
-// Throws `Error` (HTTP 400) when `fault_profile` is non-empty but
-// `scenario` is not fault-parameterized; same timing as
-// check_family_supported.
-void check_faults_supported(const cli::Scenario& scenario,
-                            const std::string& fault_profile);
 
 // {"error": ..., "status": N} — the uniform 4xx/5xx body.
 std::string error_document(int status, const std::string& message);

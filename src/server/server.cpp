@@ -10,6 +10,7 @@
 #include <cstring>
 #include <sstream>
 
+#include "cli/scenario.h"
 #include "obs/process.h"
 #include "obs/stopwatch.h"
 #include "obs/trace.h"
@@ -532,23 +533,14 @@ std::optional<HttpResponse> Server::stream_sweep(int fd,
                                                  std::uint64_t* bytes_sent) {
   *io_failed = false;
   *bytes_sent = 0;
+  // Everything that can fail is checked before the 200 head is committed
+  // to the wire; past this point errors can only abort the connection.
   SweepRequest sweep;
   try {
     sweep = parse_sweep_request(request.body);
-  } catch (const Error& e) {
-    return error_response(400, e.what());
-  }
-  // Everything that can fail is checked before the 200 head is committed
-  // to the wire; past this point errors can only abort the connection.
-  const cli::Scenario* scenario = cli::find_scenario(sweep.scenario);
-  if (scenario == nullptr) {
-    return error_response(404, cat("unknown scenario ",
-                                   json_quote(sweep.scenario),
-                                   " (see /v1/scenarios)"));
-  }
-  try {
-    check_family_supported(*scenario, sweep.family);
-    check_faults_supported(*scenario, sweep.fault_profile);
+    cli::check_request(sweep.scenario, sweep.family, sweep.fault_profile);
+  } catch (const cli::UnknownScenario& e) {
+    return error_response(404, e.what());
   } catch (const Error& e) {
     return error_response(400, e.what());
   }
@@ -664,11 +656,6 @@ HttpResponse Server::handle(const HttpRequest& request) {
     } else if (path == "/v1/run") {
       if (request.method != "POST") return method_not_allowed("POST");
       const RunRequest run = parse_run_request(request.body);
-      if (cli::find_scenario(run.scenario) == nullptr) {
-        return error_response(
-            404, cat("unknown scenario ", json_quote(run.scenario),
-                     " (see /v1/scenarios)"));
-      }
       exec::ExecContext ctx;
       ctx.pool = pool_ ? &*pool_ : nullptr;
       ctx.cache = &cache_;
@@ -676,11 +663,6 @@ HttpResponse Server::handle(const HttpRequest& request) {
     } else if (path == "/v1/sweep") {
       if (request.method != "POST") return method_not_allowed("POST");
       const SweepRequest sweep = parse_sweep_request(request.body);
-      if (cli::find_scenario(sweep.scenario) == nullptr) {
-        return error_response(
-            404, cat("unknown scenario ", json_quote(sweep.scenario),
-                     " (see /v1/scenarios)"));
-      }
       response.body = sweep_document(sweep, pool_ ? &*pool_ : nullptr,
                                      nullptr);
     } else {
@@ -690,8 +672,11 @@ HttpResponse Server::handle(const HttpRequest& request) {
                    "/v1/families /v1/faults /v1/metrics /metrics /v1/run "
                    "/v1/sweep"));
     }
+  } catch (const cli::UnknownScenario& e) {
+    return error_response(404, e.what());
   } catch (const Error& e) {
-    // Caller-facing precondition (bad JSON, bad field): the request's fault.
+    // Caller-facing precondition (bad JSON, bad field, bad selector): the
+    // request's fault.
     return error_response(400, e.what());
   } catch (const std::exception& e) {
     return error_response(500, e.what());

@@ -14,10 +14,6 @@ struct Configuration {
   std::vector<int> tape;  // grows on demand; absent cells are blank
   int head = 0;
   int state = TuringMachine::kStartState;
-
-  int symbol_under_head() const {
-    return head < static_cast<int>(tape.size()) ? tape[head] : 0;
-  }
 };
 
 // One step. Returns false (and leaves the configuration unchanged) when the

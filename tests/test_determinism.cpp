@@ -240,15 +240,52 @@ TEST(CacheCorrectness, MemoizationUnsafeAlgorithmsBypassTheCache) {
   EXPECT_EQ(alg.evaluations.load(), 8);
   const auto stats = cache.stats();
   EXPECT_EQ(stats.hits + stats.misses, 0u);
-  // The Id-oblivious simulation A* is the shipped example of such an
-  // algorithm: sampled-mode verdicts can depend on ball-node numbering.
+  // The Id-oblivious simulation A* is NOT such an algorithm: it applies
+  // sampled id lists in canonical order, so its verdicts are class-invariant
+  // and it memoizes through the shared cache.
   auto inner = std::make_shared<LambdaAlgorithm>(
       "reads-ids", 1, false, [](const BallView& b) {
         (void)b.center_id();
         return Verdict::yes;
       });
   const auto sim = oblivious::make_oblivious_simulation(inner, {});
-  EXPECT_FALSE(sim->memoization_safe());
+  EXPECT_TRUE(sim->memoization_safe());
+}
+
+TEST(CacheCorrectness, SimulationsDifferingOnlyInUniverseKeepTheirVerdicts) {
+  // Inner rejects iff the centre's id is at least 50: A* over [0, 50)
+  // accepts everywhere, A* over [0, 51) rejects everywhere. Sharing one
+  // cache must not hand either simulation the other's verdicts.
+  auto inner = std::make_shared<LambdaAlgorithm>(
+      "reject-at-big-id", 0, false, [](const BallView& ball) {
+        return ball.center_id() >= 50 ? Verdict::no : Verdict::yes;
+      });
+  oblivious::SimulationOptions small;
+  small.id_universe = 50;
+  small.max_assignments = 200;
+  oblivious::SimulationOptions large = small;
+  large.id_universe = 51;
+  const auto small_sim = oblivious::make_oblivious_simulation(inner, small);
+  const auto large_sim = oblivious::make_oblivious_simulation(inner, large);
+  EXPECT_NE(small_sim->name(), large_sim->name());
+  // The pool never changes a verdict, so it is not part of the key.
+  exec::ThreadPool pool(2);
+  oblivious::SimulationOptions pooled = small;
+  pooled.pool = &pool;
+  EXPECT_EQ(oblivious::make_oblivious_simulation(inner, pooled)->name(),
+            small_sim->name());
+
+  const LabeledGraph g = LabeledGraph::uniform(make_cycle(6), Label{});
+  exec::VerdictCache cache;
+  exec::ExecContext memo{nullptr, &cache};
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_TRUE(run_oblivious(*small_sim, g, {memo}).accepted);
+    EXPECT_FALSE(run_oblivious(*large_sim, g, {memo}).accepted);
+  }
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.hits, 22u);
 }
 
 TEST(Determinism, ObliviousSimulationVerdictIndependentOfPool) {
@@ -356,9 +393,9 @@ TEST(CacheCorrectness, MemoizedAndUnmemoizedAgreeOnTheGmrVerifierPath) {
 }
 
 TEST(Determinism, ExhaustiveSimulationMemoNeverChangesTheVerdict) {
-  // A*'s exhaustive-mode verdicts are class-invariant and internally
-  // memoized; re-evaluating isomorphic balls must hit the memo and return
-  // the identical verdict, serial or pooled.
+  // A*'s exhaustive-mode verdicts are class-invariant and memoized in the
+  // shared cache; re-evaluating isomorphic balls must hit the cache and
+  // return the identical verdict, serial or pooled.
   auto inner = std::make_shared<LambdaAlgorithm>(
       "center-max-rejects", 1, false, [](const BallView& ball) {
         const Id c = ball.center_id();
@@ -376,16 +413,62 @@ TEST(Determinism, ExhaustiveSimulationMemoNeverChangesTheVerdict) {
   const LabeledGraph cycle =
       LabeledGraph::uniform(make_cycle(12), Label{});
   exec::ExecContext plain;
-  const auto first = run_oblivious(*sim, cycle, {plain});
+  const auto unmemoized = run_oblivious(*sim, cycle, {plain});
   EXPECT_TRUE(sim->last_stats().exhaustive);
-  // All 12 balls are isomorphic: the second run is answered by the memo.
-  const auto second = run_oblivious(*sim, cycle, {plain});
-  EXPECT_EQ(second.outputs, first.outputs);
-  EXPECT_TRUE(sim->last_stats().memo_hit);
+  exec::VerdictCache cache;
+  exec::ExecContext memo{nullptr, &cache};
+  // All 12 balls are isomorphic: one enumeration, then 11 cache hits; the
+  // second run is answered by the cache alone.
+  EXPECT_EQ(run_oblivious(*sim, cycle, {memo}).outputs, unmemoized.outputs);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 11u);
+  EXPECT_EQ(run_oblivious(*sim, cycle, {memo}).outputs, unmemoized.outputs);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 23u);
   for (int threads : {2, 8}) {
     exec::ThreadPool pool(threads);
-    exec::ExecContext ctx{&pool, nullptr};
-    EXPECT_EQ(run_oblivious(*sim, cycle, {ctx}).outputs, first.outputs);
+    exec::VerdictCache fresh;
+    exec::ExecContext ctx{&pool, &fresh};
+    EXPECT_EQ(run_oblivious(*sim, cycle, {ctx}).outputs, unmemoized.outputs);
+    const auto stats = fresh.stats();
+    EXPECT_EQ(stats.entries, 1u);
+    EXPECT_EQ(stats.hits + stats.misses, 12u);
+  }
+}
+
+TEST(Determinism, SampledSimulationMemoizedEqualsUnmemoized) {
+  // An id-DEPENDENT inner under a tiny sampling budget: which balls reject
+  // depends on the exact candidates drawn, so the shared cache is sound only
+  // if isomorphic balls — numbered differently across a random graph — are
+  // probed with isomorphic assignments.
+  auto inner = std::make_shared<LambdaAlgorithm>(
+      "weighted-id-sum", 1, false, [](const BallView& ball) {
+        Id sum = 0;
+        for (graph::NodeId v = 0; v < ball.node_count(); ++v) {
+          sum += ball.id_of(v) * (1 + ball.label(v).at(0));
+        }
+        return sum % 3 == 0 ? Verdict::no : Verdict::yes;
+      });
+  oblivious::SimulationOptions options;
+  options.id_universe = 1 << 16;
+  options.max_assignments = 1;
+  options.seed = 5;
+  const auto sim = oblivious::make_oblivious_simulation(inner, options);
+  LabeledGraph g(graph::make_random_connected(60, 20, 11));
+  Rng rng(4);
+  for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+    g.set_label(v, Label{static_cast<std::int64_t>(rng.below(2))});
+  }
+  exec::ExecContext plain;
+  const auto unmemoized = run_oblivious(*sim, g, {plain});
+  EXPECT_FALSE(sim->last_stats().exhaustive);
+  for (int threads : {1, 2, 8}) {
+    exec::ThreadPool pool(threads);
+    exec::VerdictCache cache;
+    exec::ExecContext memo{&pool, &cache};
+    const auto memoized = run_oblivious(*sim, g, {memo});
+    EXPECT_EQ(memoized.outputs, unmemoized.outputs) << threads << " threads";
+    EXPECT_GT(cache.stats().hits, 0u) << threads << " threads";
   }
 }
 

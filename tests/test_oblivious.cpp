@@ -15,6 +15,7 @@ namespace locald::oblivious {
 namespace {
 
 using local::BallView;
+using local::Id;
 using local::LabeledGraph;
 using local::Verdict;
 
@@ -84,6 +85,46 @@ TEST(Simulation, ExhaustiveOnTinyBallsSampledOnLarge) {
   sim2->evaluate(b1);
   EXPECT_FALSE(sim2->last_stats().exhaustive);
   EXPECT_EQ(sim2->last_stats().assignments_tried, 50u);
+}
+
+// A*'s quantifier ("some assignment makes A say no") depends only on the
+// ball's isomorphism class, and so must its sampled stand-in. Two 3-paths
+// whose end labels {1, 2} swap host order give isomorphic centre balls with
+// different ball-node numbering; with one sampled candidate and an inner
+// that compares the two ends' ids, applying the candidate by node index
+// would give the two balls opposite verdicts on every seed.
+TEST(Simulation, SampledVerdictIsClassInvariant) {
+  auto inner = std::make_shared<local::LambdaAlgorithm>(
+      "compare-end-ids", 1, false, [](const BallView& ball) {
+        Id one = 0;
+        Id two = 0;
+        for (graph::NodeId w : ball.g.neighbors(ball.center)) {
+          (ball.label(w).at(0) == 1 ? one : two) = ball.id_of(w);
+        }
+        return one > two ? Verdict::no : Verdict::yes;
+      });
+  LabeledGraph a = LabeledGraph::uniform(graph::make_path(3), local::Label{0});
+  LabeledGraph b = a;
+  a.set_label(0, local::Label{1});
+  a.set_label(2, local::Label{2});
+  b.set_label(0, local::Label{2});
+  b.set_label(2, local::Label{1});
+  local::BallScratch scratch_a;
+  local::BallScratch scratch_b;
+  const BallView ball_a = scratch_a.extract(a, nullptr, 1, 1);
+  const BallView ball_b = scratch_b.extract(b, nullptr, 1, 1);
+  ASSERT_EQ(ball_a.canonical_encoding(), ball_b.canonical_encoding());
+  ASSERT_NE(ball_a.label(1).at(0), ball_b.label(1).at(0));  // renumbered
+  int disagreements = 0;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    SimulationOptions options;
+    options.max_assignments = 1;
+    options.seed = seed;
+    const auto sim = make_oblivious_simulation(inner, options);
+    disagreements += sim->evaluate(ball_a) != sim->evaluate(ball_b);
+    EXPECT_FALSE(sim->last_stats().exhaustive);
+  }
+  EXPECT_EQ(disagreements, 0);
 }
 
 // The paper's key point for Section 2: applying A* to the (B)-only decider

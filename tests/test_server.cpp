@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli/sweep.h"
 #include "server/api.h"
 #include "server/http.h"
 #include "server/server.h"
@@ -441,6 +442,49 @@ TEST(Routing, RunRequestErrorsMapToStatuses) {
                                      R"({"scenario": "missing"})"))
                 .status,
             404);
+}
+
+TEST(Routing, MalformedSelectorsAreBadRequestsNotMismatches) {
+  // A selector that does not resolve is the request's fault: 400 before the
+  // scenario runs, never a 200 document with "ok": false.
+  Server server{ServeOptions{}};
+  for (const char* body :
+       {R"({"scenario": "family-workload", "family": "cycle:n=1"})",
+        R"({"scenario": "family-workload", "family": "moebius"})",
+        R"({"scenario": "fault-robustness", "fault_profile": "nope"})",
+        R"({"scenario": "fault-robustness", "fault_profile": "drop:x=1"})",
+        R"({"scenario": "promise-cycle", "family": "cycle"})",
+        R"({"scenario": "promise-cycle", "fault_profile": "none"})"}) {
+    EXPECT_EQ(server.handle(make_request("POST", "/v1/run", body)).status,
+              400)
+        << body;
+    EXPECT_EQ(server.handle(make_request("POST", "/v1/sweep", body)).status,
+              400)
+        << body;
+  }
+  // The same check guards the document builders and the CLI's sweep.
+  RunRequest run;
+  run.scenario = "family-workload";
+  run.family = "cycle:n=1";
+  EXPECT_THROW(run_document(run, exec::ExecContext{}, nullptr), Error);
+  cli::SweepOptions sweep;
+  sweep.faults = "nope";
+  std::ostringstream out;
+  EXPECT_EQ(cli::run_sweep("fault-robustness", sweep, out), 2);
+  EXPECT_TRUE(out.str().empty());
+
+  // Over a socket, a streamed /v1/sweep answers buffered, before any head.
+  ServeOptions ephemeral;
+  ephemeral.port = 0;
+  Server live{ephemeral};
+  live.start();
+  const ClientResponse streamed = request(
+      live.port(),
+      post("/v1/sweep",
+           R"({"scenario": "family-workload", "family": "cycle:n=1"})"));
+  EXPECT_EQ(streamed.status, 400);
+  EXPECT_EQ(streamed.head.find("Transfer-Encoding"), std::string::npos);
+  live.stop();
 }
 
 TEST(Routing, ServeOptionsAreValidated) {
