@@ -1,12 +1,13 @@
 // The scenario registry behind the `locald` command-line driver.
 //
-// Every paper artifact the benches and examples reproduce — the Section-1.1
-// separation matrix, the Figure-1 layered trees, the Figure-2 G(M, r)
-// construction, the Figure-3 pyramids, the Corollary-1 randomized decider,
-// and the two warm-up promise problems — is registered here under a stable
-// name. `locald list` enumerates the registry; `locald run <name>` executes
-// one scenario end to end with selectable sizes, seeds, and text/CSV output,
-// so the eight ad-hoc bench main()s share a single parameterized harness.
+// Every paper artifact locald reproduces — the Section-1.1 separation
+// matrix, the Figure-1 layered trees, the Figure-2 G(M, r) construction,
+// the Figure-3 pyramids, the Corollary-1 randomized decider, and the two
+// warm-up promise problems — is registered here under a stable name, next
+// to the workload and fault scenarios. `locald list` enumerates the
+// registry; `locald run <name>` executes one scenario end to end with
+// selectable sizes, seeds, and text/CSV/JSON output, and `locald serve`
+// answers the same documents over HTTP.
 #pragma once
 
 #include <cstdint>
@@ -25,7 +26,7 @@ enum class OutputFormat { text, csv };
 
 // Knobs shared by every scenario. `size` is the scenario's principal scale
 // parameter (documented per scenario in `Scenario::size_help`); 0 means
-// "use the scenario default", matching the bench binaries.
+// "use the scenario default".
 struct ScenarioOptions {
   std::uint64_t seed = 42;
   int size = 0;

@@ -11,8 +11,8 @@
 #include "exec/thread_pool.h"
 #include "exec/verdict_cache.h"
 #include "graph/algorithms.h"
+#include "graph/ball_slice.h"
 #include "graph/generators.h"
-#include "graph/induced.h"
 #include "graph/io.h"
 #include "graph/isomorphism.h"
 #include "graph/pyramid.h"

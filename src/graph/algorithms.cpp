@@ -27,38 +27,6 @@ std::vector<int> bfs_distances(CsrSpan g, NodeId src, int max_dist) {
   return dist;
 }
 
-std::vector<NodeId> nodes_within(CsrSpan g, NodeId src, int radius) {
-  LOCALD_CHECK(radius >= 0, "radius must be non-negative");
-  LOCALD_CHECK(src >= 0 && src < g.node_count(), "source out of range");
-  // Local BFS with a sorted-vector visited set: cost proportional to the
-  // ball, not the host graph, so extracting many balls from a large graph
-  // stays cheap.
-  std::vector<NodeId> frontier{src};
-  std::vector<NodeId> result{src};
-  std::vector<NodeId> visited{src};
-  auto is_visited = [&](NodeId v) {
-    return std::binary_search(visited.begin(), visited.end(), v);
-  };
-  auto mark_visited = [&](NodeId v) {
-    visited.insert(std::lower_bound(visited.begin(), visited.end(), v), v);
-  };
-  for (int d = 0; d < radius && !frontier.empty(); ++d) {
-    std::vector<NodeId> next;
-    for (NodeId u : frontier) {
-      for (NodeId w : g.neighbors(u)) {
-        if (!is_visited(w)) {
-          mark_visited(w);
-          next.push_back(w);
-        }
-      }
-    }
-    std::sort(next.begin(), next.end());
-    result.insert(result.end(), next.begin(), next.end());
-    frontier = std::move(next);
-  }
-  return result;
-}
-
 bool is_connected(CsrSpan g) {
   if (g.node_count() <= 1) {
     return true;

@@ -1,11 +1,12 @@
 // Classic traversals and structure queries on CSR spans.
 //
-// These are the primitives the paper's local-model machinery is built from:
-// `nodes_within` delimits the radius-t ball B(v, t) that a local algorithm
-// sees (Section 1.2), the shape predicates (`is_cycle_graph`, `is_tree`,
-// `is_path_graph`) back the warm-up promise problems and tree families, and
+// Whole-graph queries behind the paper's local-model machinery: the shape
+// predicates (`is_cycle_graph`, `is_tree`, `is_path_graph`) back the
+// warm-up promise problems and tree families, and
 // `diameter`/`eccentricity` are used by tests to certify that constructed
-// instances have the claimed locality structure. Everything here is exact
+// instances have the claimed locality structure. The radius-t ball B(v, t)
+// that a local algorithm sees (Section 1.2) is extracted by
+// graph/ball_slice.h, not here. Everything here is exact
 // and intended for the small graphs of the reproduction (balls, fragments,
 // instances up to a few hundred thousand nodes), not for streaming scale.
 #pragma once
@@ -22,9 +23,6 @@ constexpr int kUnreached = -1;
 // BFS distances from src; kUnreached for nodes farther than `max_dist`
 // (or unreachable). max_dist < 0 means unbounded.
 std::vector<int> bfs_distances(CsrSpan g, NodeId src, int max_dist = -1);
-
-// Nodes within distance `radius` of src, in BFS (distance, id) order.
-std::vector<NodeId> nodes_within(CsrSpan g, NodeId src, int radius);
 
 bool is_connected(CsrSpan g);
 

@@ -4,21 +4,69 @@
 
 namespace locald::graph {
 
-BallSlice BallScratch::extract(const CsrSpan& host, NodeId v, int radius) {
+void HostRemap::reset(NodeId host_n,
+                      const std::vector<NodeId>& previous_members) {
+  // Sparse reset: only the previous ball's entries are set. The array only
+  // grows, so entries of a larger host used before stay in range.
+  for (NodeId h : previous_members) {
+    local_of_[static_cast<std::size_t>(h)] = kNoLocal;
+  }
+  if (local_of_.size() < static_cast<std::size_t>(host_n)) {
+    local_of_.resize(static_cast<std::size_t>(host_n), kNoLocal);
+  }
+}
+
+std::size_t BallRemap::probe(NodeId h) const {
+  // Fibonacci hashing (the top bits of a golden-ratio product), then
+  // linear probing to h's slot or the empty slot where h would go.
+  const std::size_t mask = slots_.size() - 1;
+  std::size_t i = static_cast<std::size_t>(
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(h)) *
+       0x9E3779B97F4A7C15ULL) >>
+      shift_);
+  while (slots_[i].host != h && slots_[i].host != kNoLocal) {
+    i = (i + 1) & mask;
+  }
+  return i;
+}
+
+bool BallRemap::claim(NodeId h) {
+  if (2 * (size_ + 1) > slots_.size()) {  // keep the table at most half full
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    --shift_;
+    for (const Slot& s : old) {
+      if (s.host != kNoLocal) {
+        slots_[probe(s.host)] = s;
+      }
+    }
+  }
+  Slot& slot = slots_[probe(h)];
+  if (slot.host == h) {
+    return false;
+  }
+  slot = Slot{h, 0};
+  ++size_;
+  return true;
+}
+
+void BallRemap::set(NodeId h, NodeId l) { slots_[probe(h)].local = l; }
+
+NodeId BallRemap::find(NodeId h) const {
+  const Slot& slot = slots_[probe(h)];
+  return slot.host == h ? slot.local : kNoLocal;
+}
+
+template <class Remap>
+BallSlice BasicBallScratch<Remap>::extract(const CsrSpan& host, NodeId v,
+                                           int radius) {
   LOCALD_CHECK(radius >= 0, "radius must be non-negative");
   host.check_node(v);
-  if (stamp_.size() < static_cast<std::size_t>(host.n)) {
-    stamp_.resize(static_cast<std::size_t>(host.n), 0);
-    local_of_.resize(static_cast<std::size_t>(host.n));
-  }
-  if (++epoch_ == 0) {  // epoch wrapped: all stamps are stale, reset once
-    std::fill(stamp_.begin(), stamp_.end(), 0);
-    epoch_ = 1;
-  }
+  remap_.reset(host.n, members_);
 
   members_.clear();
+  remap_.claim(v);
   members_.push_back(v);
-  stamp_[static_cast<std::size_t>(v)] = epoch_;
   layer_begin_.clear();
   layer_begin_.push_back(0);
   std::size_t frontier_begin = 0;
@@ -29,9 +77,7 @@ BallSlice BallScratch::extract(const CsrSpan& host, NodeId v, int radius) {
     }
     for (std::size_t i = frontier_begin; i < frontier_end; ++i) {
       for (NodeId w : host.neighbors(members_[i])) {
-        auto& s = stamp_[static_cast<std::size_t>(w)];
-        if (s != epoch_) {
-          s = epoch_;
+        if (remap_.claim(w)) {
           members_.push_back(w);
         }
       }
@@ -45,8 +91,7 @@ BallSlice BallScratch::extract(const CsrSpan& host, NodeId v, int radius) {
 
   const NodeId b = static_cast<NodeId>(members_.size());
   for (NodeId i = 0; i < b; ++i) {
-    local_of_[static_cast<std::size_t>(members_[static_cast<std::size_t>(i)])] =
-        i;
+    remap_.set(members_[static_cast<std::size_t>(i)], i);
   }
 
   // Row assembly without a per-row sort: host rows are ascending in host
@@ -69,10 +114,10 @@ BallSlice BallScratch::extract(const CsrSpan& host, NodeId v, int radius) {
     row_own_.clear();
     row_above_.clear();
     for (NodeId w : host.neighbors(members_[static_cast<std::size_t>(u)])) {
-      if (stamp_[static_cast<std::size_t>(w)] != epoch_) {
+      const NodeId l = remap_.find(w);
+      if (l == kNoLocal) {
         continue;
       }
-      const NodeId l = local_of_[static_cast<std::size_t>(w)];
       if (l < own_begin) {
         adj_.push_back(l);  // layer below: lands first, in place
       } else if (l < above_begin) {
@@ -90,5 +135,8 @@ BallSlice BallScratch::extract(const CsrSpan& host, NodeId v, int radius) {
   return BallSlice{CsrSpan{b, offsets_.data(), adj_.data()}, members_.data(),
                    0, radius};
 }
+
+template class BasicBallScratch<HostRemap>;
+template class BasicBallScratch<BallRemap>;
 
 }  // namespace locald::graph

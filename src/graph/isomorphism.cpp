@@ -702,19 +702,12 @@ BallCensusResult canonical_census(const CsrGraph& host,
   // Verification (parallel): every non-representative must be structurally
   // identical to its slot's representative — a failed check means two
   // distinct structures collided in the 64-bit hash. Representatives of
-  // multi-member slots are materialized once up front (owned copies of
-  // the slice arrays), so each duplicate costs ONE extraction instead of
+  // multi-member slots are materialized once up front (`OwnedBallSlice`
+  // copies), so each duplicate costs ONE extraction instead of
   // re-extracting its representative alongside — on dedup-heavy censuses
   // (symmetric families, where every ball is the whole graph) that is a
   // third of all extraction work. Single-member slots verify nothing and
   // materialize nothing.
-  struct RepSlice {
-    std::vector<EdgeIndex> offsets;
-    std::vector<NodeId> adj;
-    std::vector<NodeId> to_host;
-    NodeId n = 0;
-    NodeId center = 0;
-  };
   // One stage span at a time, re-aimed as the census advances; emplace/reset
   // keeps sibling stages from nesting into each other.
   std::optional<obs::Span> stage_span;
@@ -723,19 +716,14 @@ BallCensusResult canonical_census(const CsrGraph& host,
   for (std::size_t i = 0; i < n; ++i) {
     ++slot_members[slot[i]];
   }
-  std::vector<RepSlice> rep_slice(representative.size());
+  std::vector<OwnedBallSlice> rep_slice(representative.size());
   run_indexed(pool, representative.size(), [&](std::size_t k) {
     if (slot_members[k] < 2) {
       return;
     }
     thread_local BallScratch scratch;
-    const BallSlice s = scratch.extract(hs, representative[k], radius);
-    RepSlice& out = rep_slice[k];
-    out.n = s.local.n;
-    out.center = s.center;
-    out.offsets.assign(s.local.offsets, s.local.offsets + s.local.n + 1);
-    out.adj.assign(s.local.adj, s.local.adj + s.local.offsets[s.local.n]);
-    out.to_host.assign(s.to_host, s.to_host + s.local.n);
+    rep_slice[k] =
+        OwnedBallSlice(scratch.extract(hs, representative[k], radius));
   });
   std::atomic<bool> collision{false};
   run_indexed(pool, n, [&](std::size_t i) {
@@ -746,10 +734,7 @@ BallCensusResult canonical_census(const CsrGraph& host,
     }
     thread_local BallScratch mine;
     const BallSlice a = mine.extract(hs, static_cast<NodeId>(i), radius);
-    const RepSlice& r = rep_slice[slot[i]];
-    const BallSlice b{CsrSpan{r.n, r.offsets.data(), r.adj.data()},
-                      r.to_host.data(), r.center, radius};
-    if (!slices_equal(a, b, payloads)) {
+    if (!slices_equal(a, rep_slice[slot[i]].view(), payloads)) {
       collision.store(true, std::memory_order_relaxed);
     }
   });

@@ -2,8 +2,6 @@
 
 #include <unordered_set>
 
-#include "graph/algorithms.h"
-#include "graph/induced.h"
 #include "support/hash.h"
 
 namespace locald::local {
@@ -57,34 +55,27 @@ std::uint64_t BallView::canonical_fingerprint() const {
 
 Ball extract_ball(const LabeledGraph& g, const IdAssignment* ids,
                   graph::NodeId v, int radius) {
-  if (ids != nullptr) {
-    LOCALD_CHECK(ids->node_count() == g.node_count(),
-                 "identifier assignment size mismatch");
-  }
-  const auto members = graph::nodes_within(g.graph(), v, radius);
-  auto sub = graph::induced_subgraph(g.graph(), members);
+  SparseBallScratch scratch;
+  const BallView view = scratch.extract(g, ids, v, radius);
+  const auto n = static_cast<std::size_t>(view.node_count());
   Ball ball;
-  ball.g = std::move(sub.graph);
-  ball.to_host = std::move(sub.to_parent);
-  ball.center = sub.from_parent.at(v);
+  ball.g = graph::CsrGraph(view.g);
+  ball.to_host.assign(view.to_host, view.to_host + n);
+  ball.center = view.center;
   ball.radius = radius;
-  ball.labels.reserve(members.size());
-  for (graph::NodeId host : ball.to_host) {
-    ball.labels.push_back(g.label(host));
+  for (graph::NodeId l = 0; l < view.node_count(); ++l) {
+    ball.labels.push_back(view.label(l));
   }
-  if (ids != nullptr) {
-    std::vector<Id> ball_ids;
-    ball_ids.reserve(members.size());
-    for (graph::NodeId host : ball.to_host) {
-      ball_ids.push_back(ids->of(host));
-    }
-    ball.ids = std::move(ball_ids);
+  if (view.has_ids()) {
+    ball.ids.emplace(view.ids, view.ids + n);
   }
   return ball;
 }
 
-BallView BallScratch::extract(const LabeledGraph& g, const IdAssignment* ids,
-                              graph::NodeId v, int radius) {
+template <class SliceScratch>
+BallView BasicBallScratch<SliceScratch>::extract(const LabeledGraph& g,
+                                                 const IdAssignment* ids,
+                                                 graph::NodeId v, int radius) {
   if (ids != nullptr) {
     LOCALD_CHECK(ids->node_count() == g.node_count(),
                  "identifier assignment size mismatch");
@@ -106,5 +97,8 @@ BallView BallScratch::extract(const LabeledGraph& g, const IdAssignment* ids,
   }
   return out;
 }
+
+template class BasicBallScratch<graph::BallScratch>;
+template class BasicBallScratch<graph::SparseBallScratch>;
 
 }  // namespace locald::local

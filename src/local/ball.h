@@ -11,16 +11,16 @@
 // `BallView` is the one way to read a ball: a non-owning index slice — a
 // `CsrSpan` over scratch- or Ball-owned adjacency rows, a local->host map,
 // and borrowed label/id arrays. Views are a few words, copied freely, and
-// valid only while their backing storage (a `local::BallScratch`, an owning
-// `Ball`, or the id vector passed to `with_ids`) is alive. Sweeps extract
-// views from a per-thread `BallScratch`.
+// valid only while their backing storage (a scratch, an owning `Ball`, or
+// the id vector passed to `with_ids`) is alive. Every view of a host graph
+// comes from graph/ball_slice.h's one extraction routine: sweeps use a
+// per-thread `BallScratch` (host-sized remap), one-off balls of huge hosts
+// a `SparseBallScratch` (ball-sized remap).
 //
 // `Ball` is plain owning storage (a `CsrGraph` plus label/id vectors), read
 // only through `view()`. It backs the event engine's knowledge
 // reconstruction (local/event_engine.h, checked against direct ball
-// evaluation), and `extract_ball` returns one where a scratch's
-// host-sized arrays would cost more than the copy (the tree audit's few
-// sampled balls of a multi-million-node T_r).
+// evaluation); `extract_ball` copies a `SparseBallScratch` view into one.
 //
 // `canonical_encoding` is a complete isomorphism invariant of the ball
 // (centre distinguished, labels exact, ids exact when present): two balls
@@ -125,22 +125,26 @@ struct Ball {
 };
 
 // Extract (G, x) |` B(v, radius) as an owning ball; pass `ids` to include
-// identifiers. Allocates per call — hot paths use a `BallScratch` instead.
+// identifiers. Allocates per call — hot paths use a scratch instead.
 Ball extract_ball(const LabeledGraph& g, const IdAssignment* ids,
                   graph::NodeId v, int radius);
 
-// Reusable zero-copy extraction arena: a graph::BallScratch plus an id
-// gather buffer. The returned view aliases this scratch and the host
+// Reusable zero-copy extraction arena: a graph-level slice scratch plus an
+// id gather buffer. The returned view aliases this scratch and the host
 // graph's label array, and is valid until the next extract() (or the
-// scratch's destruction). One BallScratch per thread.
-class BallScratch {
+// scratch's destruction). One scratch per thread.
+template <class SliceScratch>
+class BasicBallScratch {
  public:
   BallView extract(const LabeledGraph& g, const IdAssignment* ids,
                    graph::NodeId v, int radius);
 
  private:
-  graph::BallScratch scratch_;
+  SliceScratch scratch_;
   std::vector<Id> ids_;
 };
+
+using BallScratch = BasicBallScratch<graph::BallScratch>;
+using SparseBallScratch = BasicBallScratch<graph::SparseBallScratch>;
 
 }  // namespace locald::local

@@ -6,9 +6,10 @@
 //  - `BugError`: an internal invariant broke; indicates a defect in locald
 //    itself rather than in the caller's input.
 //
-// Both name the failed condition. Only `BugError` carries the source
-// location of the check: an `Error` reaches callers (CLI documents, HTTP 400
-// bodies), and its text must not depend on where locald was built.
+// A `BugError` names the failed C++ condition and the source location of
+// the check, for the developer. An `Error` reaches callers (stderr, HTTP 400
+// bodies), so its text is the check's message alone: it says what is wrong
+// with the input, not which expression caught it or where locald was built.
 #pragma once
 
 #include <stdexcept>
@@ -30,26 +31,18 @@ class BugError : public std::logic_error {
 
 namespace detail {
 
-[[noreturn]] inline void throw_check_failure(const char* kind, const char* expr,
-                                             const char* file, int line,
+[[noreturn]] inline void throw_check_failure(const char* expr,
                                              const std::string& msg) {
-  const bool caller_error = kind[0] == 'L';  // LOCALD_CHECK
-  std::string out;
-  out += kind;
-  out += " failed: ";
-  out += expr;
-  if (!caller_error) {
-    out += " at ";
-    out += file;
-    out += ":";
-    out += std::to_string(line);
-  }
+  throw Error(msg.empty() ? std::string("LOCALD_CHECK failed: ") + expr : msg);
+}
+
+[[noreturn]] inline void throw_assert_failure(const char* expr,
+                                              const char* file, int line,
+                                              const std::string& msg) {
+  std::string out = std::string("ASSERT failed: ") + expr + " at " + file +
+                    ":" + std::to_string(line);
   if (!msg.empty()) {
-    out += " — ";
-    out += msg;
-  }
-  if (caller_error) {
-    throw Error(out);
+    out += " — " + msg;
   }
   throw BugError(out);
 }
@@ -58,19 +51,18 @@ namespace detail {
 }  // namespace locald
 
 // Precondition on caller input. Throws locald::Error when violated.
-#define LOCALD_CHECK(cond, msg)                                              \
-  do {                                                                       \
-    if (!(cond)) {                                                           \
-      ::locald::detail::throw_check_failure("LOCALD_CHECK", #cond, __FILE__, \
-                                            __LINE__, (msg));                \
-    }                                                                        \
+#define LOCALD_CHECK(cond, msg)                            \
+  do {                                                     \
+    if (!(cond)) {                                         \
+      ::locald::detail::throw_check_failure(#cond, (msg)); \
+    }                                                      \
   } while (false)
 
 // Internal invariant. Throws locald::BugError when violated.
-#define LOCALD_ASSERT(cond, msg)                                          \
-  do {                                                                    \
-    if (!(cond)) {                                                        \
-      ::locald::detail::throw_check_failure("ASSERT", #cond, __FILE__,    \
-                                            __LINE__, (msg));             \
-    }                                                                     \
+#define LOCALD_ASSERT(cond, msg)                                        \
+  do {                                                                  \
+    if (!(cond)) {                                                      \
+      ::locald::detail::throw_assert_failure(#cond, __FILE__, __LINE__, \
+                                             (msg));                    \
+    }                                                                   \
   } while (false)

@@ -1,27 +1,11 @@
 #include "trees/audit.h"
 
+#include <string>
+
 #include "graph/generators.h"
 #include "local/ball.h"
 
 namespace locald::trees {
-
-namespace {
-
-// Stripped radius-1 ball of the node with coordinates (x, y) in `g`.
-local::Ball ball_of_coords(const local::LabeledGraph& g, int r, Coord x,
-                           Coord y) {
-  for (graph::NodeId v = 0; v < g.node_count(); ++v) {
-    const local::Label& l = g.label(v);
-    if (l.size() == 4 && l.at(0) == kTreeTag && l.at(1) == r &&
-        l.at(2) == x && l.at(3) == y) {
-      return extract_ball(g, nullptr, v, 1);
-    }
-  }
-  LOCALD_ASSERT(false, "coordinates not found in instance");
-  return {};
-}
-
-}  // namespace
 
 TreeAuditResult audit_tree_coverage(const TreeParams& p,
                                     std::uint64_t max_nodes,
@@ -38,6 +22,9 @@ TreeAuditResult audit_tree_coverage(const TreeParams& p,
     T = std::make_unique<local::LabeledGraph>(build_T(p));
   }
 
+  // T_r has millions of nodes and only a few sampled balls: a ball-sized
+  // remap, not a host-sized one.
+  local::SparseBallScratch scratch;
   TreeAuditResult result;
   for (std::uint64_t i = 0; i < count; ++i) {
     const graph::NodeId v = static_cast<graph::NodeId>(
@@ -59,12 +46,14 @@ TreeAuditResult audit_tree_coverage(const TreeParams& p,
     if (contained && T != nullptr &&
         result.canonical_checked < canonical_sample) {
       ++result.canonical_checked;
-      const local::Ball in_T = extract_ball(*T, nullptr, v, 1);
+      const std::string in_T =
+          scratch.extract(*T, nullptr, v, 1).canonical_encoding();
       const local::LabeledGraph instance =
           build_patch_instance(p, *witness);
-      const local::Ball in_H = ball_of_coords(instance, p.r, x, y);
-      if (in_T.view().canonical_encoding() !=
-          in_H.view().canonical_encoding()) {
+      const std::string in_H =
+          scratch.extract(instance, nullptr, witness->index_of(x, y), 1)
+              .canonical_encoding();
+      if (in_T != in_H) {
         ++result.canonical_mismatch;
       }
     }

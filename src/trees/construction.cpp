@@ -73,11 +73,16 @@ bool Patch::contains(Coord x, Coord y) const {
 }
 
 std::int64_t Patch::node_count() const {
-  std::int64_t total = 0;
-  for (int j = 0; j <= r; ++j) {
-    total += right(j) - left(j) + 1;
+  return index_of(right(r), y0 + r) + std::int64_t{1};
+}
+
+graph::NodeId Patch::index_of(Coord x, Coord y) const {
+  LOCALD_CHECK(contains(x, y), "node outside the patch");
+  std::int64_t index = x - left(static_cast<int>(y - y0));
+  for (int j = 0; j < y - y0; ++j) {
+    index += right(j) - left(j) + 1;
   }
-  return total;
+  return static_cast<graph::NodeId>(index);
 }
 
 bool Patch::valid(const TreeParams& p) const {
@@ -151,33 +156,28 @@ local::LabeledGraph build_T(const TreeParams& p) {
 local::LabeledGraph build_patch_instance(const TreeParams& p, const Patch& h) {
   LOCALD_CHECK(h.valid(p), "invalid patch");
   const Coord R = p.capital_R();
-  std::map<CoordPair, graph::NodeId> index;
-  graph::GraphBuilder g;
-  std::vector<local::Label> labels;
+  const auto pivot = static_cast<graph::NodeId>(h.node_count());
+  graph::GraphBuilder g(pivot + 1);
+  std::vector<local::Label> labels(static_cast<std::size_t>(pivot) + 1);
   for (int j = 0; j <= h.r; ++j) {
     const Coord y = h.y0 + j;
     for (Coord x = h.left(j); x <= h.right(j); ++x) {
-      const graph::NodeId v = g.add_node();
-      index[{x, y}] = v;
-      labels.push_back(tree_label(p.r, x, y));
-    }
-  }
-  for (const auto& [coords, v] : index) {
-    for (const CoordPair& c : patch_neighbors(h, coords.x, coords.y, R)) {
-      const auto it = index.find(c);
-      LOCALD_ASSERT(it != index.end(), "patch neighbour not indexed");
-      if (v < it->second) {
-        g.add_edge(v, it->second);
+      const graph::NodeId v = h.index_of(x, y);
+      labels[static_cast<std::size_t>(v)] = tree_label(p.r, x, y);
+      for (const CoordPair& c : patch_neighbors(h, x, y, R)) {
+        const graph::NodeId w = h.index_of(c.x, c.y);
+        if (v < w) {
+          g.add_edge(v, w);
+        }
       }
     }
   }
-  const graph::NodeId pivot = g.add_node();
-  labels.push_back(pivot_label(p.r));
+  labels[static_cast<std::size_t>(pivot)] = pivot_label(p.r);
   const auto border = expected_border(h, R);
   LOCALD_CHECK(!border.empty(),
                "patch has no border: the pivot would be disconnected");
   for (const CoordPair& c : border) {
-    g.add_edge(pivot, index.at(c));
+    g.add_edge(pivot, h.index_of(c.x, c.y));
   }
   return local::LabeledGraph(g.build(), std::move(labels));
 }

@@ -84,6 +84,9 @@ struct Patch {
 
   bool contains(Coord x, Coord y) const;
   std::int64_t node_count() const;
+  // Node id of (x, y) in build_patch_instance: rows top to bottom, each
+  // left to right. (x, y) must be in the patch.
+  graph::NodeId index_of(Coord x, Coord y) const;
 
   // Structural validity against the parameters (bounds, width cap).
   bool valid(const TreeParams& p) const;

@@ -5,7 +5,9 @@
 // freezing a GraphBuilder, CsrGraph::from_edges, and deep-copying a
 // CsrSpan. This suite pins the routes to each other and to independent
 // reference implementations — edge lists, neighbour iteration order, BFS
-// ball membership, zero-copy slice extraction — and locks the bulk
+// ball membership — and checks ball extraction under both remaps
+// (graph/ball_slice.h) against the tests/ reference builder
+// (reference_ball.h), then locks the bulk
 // canonical census to byte-identical output across every registered
 // family, a grid of sizes, and serial / 2-thread / 4-thread pools.
 #include <gtest/gtest.h>
@@ -24,6 +26,8 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/isomorphism.h"
+#include "local/ball.h"
+#include "reference_ball.h"
 #include "support/check.h"
 
 namespace locald::graph {
@@ -167,7 +171,7 @@ TEST(CsrEquivalence, BfsBallMembershipMatchesAdjacencyListReference) {
             want.push_back(static_cast<NodeId>(v));
           }
         }
-        std::vector<NodeId> got = nodes_within(g, src, radius);
+        std::vector<NodeId> got = reference::nodes_within(g, src, radius);
         std::sort(got.begin(), got.end());
         EXPECT_EQ(got, want);
       }
@@ -175,31 +179,106 @@ TEST(CsrEquivalence, BfsBallMembershipMatchesAdjacencyListReference) {
   }
 }
 
-TEST(CsrEquivalence, BallSliceMatchesNodesWithinAndInducedEdges) {
-  BallScratch scratch;
+// Both remaps must reproduce the tests/ reference ball exactly: members in
+// (distance, host id) order, centre first, and the induced rows byte for
+// byte.
+template <class Scratch>
+void expect_reference_ball(Scratch& scratch, const CsrGraph& g, NodeId v,
+                           int radius) {
+  const BallSlice slice = scratch.extract(g, v, radius);
+  const reference::InducedSubgraph want = reference::ball(g, v, radius);
+  ASSERT_EQ(slice.center, 0);
+  ASSERT_EQ(slice.radius, radius);
+  ASSERT_EQ(std::vector<NodeId>(slice.to_host,
+                                slice.to_host + slice.local.node_count()),
+            want.to_parent)
+      << "node " << v << " radius " << radius;
+  ASSERT_TRUE(CsrGraph(slice.local) == want.graph)
+      << "node " << v << " radius " << radius;
+}
+
+TEST(CsrEquivalence, BothRemapsMatchTheReferenceBall) {
+  // One scratch of each kind, reused across every host of the sweep.
+  BallScratch dense;
+  SparseBallScratch sparse;
   for (const CsrGraph& g : sample_graphs()) {
     for (NodeId v = 0; v < g.node_count(); ++v) {
-      for (int radius : {0, 1, 2}) {
-        const BallSlice slice = scratch.extract(g, v, radius);
-        ASSERT_EQ(slice.center, 0);
-        ASSERT_EQ(slice.to_host[0], v);  // centre first
-        // Membership: exactly B(v, radius).
-        std::vector<NodeId> hosts(slice.to_host,
-                                  slice.to_host + slice.local.node_count());
-        std::vector<NodeId> sorted_hosts = hosts;
-        std::sort(sorted_hosts.begin(), sorted_hosts.end());
-        std::vector<NodeId> want = nodes_within(g, v, radius);
-        std::sort(want.begin(), want.end());
-        ASSERT_EQ(sorted_hosts, want);
-        // Induced adjacency: local {a, b} iff host {to_host[a], to_host[b]}.
-        for (NodeId a = 0; a < slice.local.node_count(); ++a) {
-          for (NodeId b = static_cast<NodeId>(a + 1);
-               b < slice.local.node_count(); ++b) {
-            EXPECT_EQ(slice.local.has_edge(a, b),
-                      g.has_edge(hosts[static_cast<std::size_t>(a)],
-                                 hosts[static_cast<std::size_t>(b)]));
-          }
-        }
+      for (int radius : {0, 1, 2, 3}) {
+        expect_reference_ball(dense, g, v, radius);
+        expect_reference_ball(sparse, g, v, radius);
+      }
+    }
+  }
+}
+
+TEST(CsrEquivalence, LargeAndHubBallsGrowTheBallRemap) {
+  BallScratch dense;
+  SparseBallScratch sparse;
+  // A hub ball far past the table's first 32 entries, and a leaf ball
+  // that reaches it at radius 2.
+  const CsrGraph star = make_star(500);
+  for (NodeId v : {NodeId{0}, NodeId{1}, NodeId{500}}) {
+    for (int radius : {1, 2}) {
+      expect_reference_ball(dense, star, v, radius);
+      expect_reference_ball(sparse, star, v, radius);
+    }
+  }
+  // Balls of a few hundred nodes with edges inside every layer.
+  const CsrGraph grid = make_grid(40, 40);
+  for (NodeId v : {NodeId{0}, NodeId{820}, NodeId{1599}}) {
+    for (int radius : {4, 9, 15}) {
+      expect_reference_ball(dense, grid, v, radius);
+      expect_reference_ball(sparse, grid, v, radius);
+    }
+  }
+}
+
+TEST(CsrEquivalence, ScratchReuseAcrossHostsOfDifferentSizes) {
+  // Per-thread scratches move between hosts: the remap must forget a large
+  // host's ball before a small host's, and the small host's before the
+  // large host's again.
+  const CsrGraph large = make_grid(300, 300);
+  const CsrGraph small = make_cycle(9);
+  BallScratch dense;
+  SparseBallScratch sparse;
+  for (int round = 0; round < 2; ++round) {
+    for (NodeId v : {NodeId{0}, NodeId{45150}, NodeId{89999}}) {
+      expect_reference_ball(dense, large, v, 6);
+      expect_reference_ball(sparse, large, v, 6);
+    }
+    for (NodeId v = 0; v < small.node_count(); ++v) {
+      expect_reference_ball(dense, small, v, 2);
+      expect_reference_ball(sparse, small, v, 2);
+    }
+  }
+  expect_reference_ball(dense, large, 45150, 6);
+  expect_reference_ball(sparse, large, 45150, 6);
+}
+
+TEST(CsrEquivalence, OwningBallEncodesLikeTheSweepView) {
+  // local::extract_ball (ball-sized remap, owning copy) and a sweep's
+  // host-remap view must give every ball the same canonical encoding,
+  // labels and identifiers included.
+  local::BallScratch scratch;
+  for (const char* selector :
+       {"grid", "hypercube", "complete-bipartite", "gnp", "caterpillar"}) {
+    const CsrGraph g = gen::resolve_family_text(selector, 40).build(5);
+    const NodeId n = g.node_count();
+    std::vector<local::Label> labels;
+    std::vector<local::Id> ids;
+    for (NodeId v = 0; v < n; ++v) {
+      labels.push_back(local::Label{v % 3});
+      ids.push_back(n - v);
+    }
+    const local::LabeledGraph host(g, std::move(labels));
+    const local::IdAssignment assignment(std::move(ids));
+    const local::IdAssignment* const stripped = nullptr;
+    for (NodeId v = 0; v < n; ++v) {
+      for (const local::IdAssignment* with : {stripped, &assignment}) {
+        const std::string owned =
+            local::extract_ball(host, with, v, 2).view().canonical_encoding();
+        EXPECT_EQ(owned, scratch.extract(host, with, v, 2).canonical_encoding())
+            << selector << " node " << v;
       }
     }
   }

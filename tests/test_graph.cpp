@@ -1,5 +1,6 @@
 // Unit and property tests for the graph substrate: construction invariants,
-// traversals, generator families, induced subgraphs, IO round trips.
+// traversals, generator families, IO round trips, and the tests/ reference
+// ball builder (reference_ball.h) the oracle suites compare against.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -7,8 +8,8 @@
 
 #include "graph/algorithms.h"
 #include "graph/generators.h"
-#include "graph/induced.h"
 #include "graph/io.h"
+#include "reference_ball.h"
 #include "support/rng.h"
 
 namespace locald::graph {
@@ -102,7 +103,7 @@ TEST(Algorithms, NodesWithinMatchesBfs) {
         40, 20, static_cast<std::uint64_t>(trial));
     const NodeId src = static_cast<NodeId>(rng.below(40));
     const int radius = static_cast<int>(rng.below(4));
-    const auto ball = nodes_within(g, src, radius);
+    const auto ball = reference::nodes_within(g, src, radius);
     const auto dist = bfs_distances(g, src, radius);
     std::set<NodeId> from_ball(ball.begin(), ball.end());
     std::set<NodeId> from_bfs;
@@ -265,7 +266,7 @@ TEST(Generators, TreeIndexRoundTrip) {
 
 TEST(Induced, SubgraphKeepsInternalEdgesOnly) {
   const CsrGraph g = make_cycle(6);
-  const auto sub = induced_subgraph(g, {0, 1, 2, 4});
+  const auto sub = reference::induced_subgraph(g, {0, 1, 2, 4});
   EXPECT_EQ(sub.graph.node_count(), 4);
   EXPECT_TRUE(sub.graph.has_edge(0, 1));  // cycle edge 0-1
   EXPECT_TRUE(sub.graph.has_edge(1, 2));  // cycle edge 1-2
@@ -277,7 +278,7 @@ TEST(Induced, SubgraphKeepsInternalEdgesOnly) {
 
 TEST(Induced, RejectsDuplicates) {
   const CsrGraph g = make_path(3);
-  EXPECT_THROW(induced_subgraph(g, {0, 0}), Error);
+  EXPECT_THROW(reference::induced_subgraph(g, {0, 0}), Error);
 }
 
 TEST(Io, EdgeListRoundTrip) {

@@ -24,8 +24,8 @@
 #include "gen/family.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
-#include "graph/induced.h"
 #include "graph/isomorphism.h"
+#include "reference_ball.h"
 #include "support/rng.h"
 
 namespace locald::graph {
@@ -502,8 +502,7 @@ TEST(Census, AgreesWithPerBallCanonicalFormOnEveryFamily) {
       EXPECT_EQ(serial.distinct, pooled.distinct);
       std::unordered_set<std::string> distinct;
       for (NodeId v = 0; v < g.node_count(); ++v) {
-        const std::vector<NodeId> members = nodes_within(g, v, radius);
-        InducedSubgraph sub = induced_subgraph(g, members);
+        reference::InducedSubgraph sub = reference::ball(g, v, radius);
         std::vector<std::string> ball_payloads;
         for (std::size_t i = 0; i < sub.to_parent.size(); ++i) {
           ball_payloads.push_back(
@@ -544,8 +543,7 @@ TEST(Census, CertificateBucketsAreCoarserThanClasses) {
     std::unordered_set<std::string> certificates;
     std::unordered_set<std::string> encodings;
     for (NodeId v = 0; v < g.node_count(); ++v) {
-      const std::vector<NodeId> members = nodes_within(g, v, 1);
-      InducedSubgraph sub = induced_subgraph(g, members);
+      reference::InducedSubgraph sub = reference::ball(g, v, 1);
       std::vector<std::string> payloads;
       for (std::size_t i = 0; i < sub.to_parent.size(); ++i) {
         payloads.push_back(
@@ -578,8 +576,7 @@ TEST(Census, HypercubeAndCompleteBipartiteClassesAreOracleExact) {
     };
     std::map<std::string, std::vector<BallData>> classes;
     for (NodeId v = 0; v < g.node_count(); ++v) {
-      const std::vector<NodeId> members = nodes_within(g, v, 1);
-      InducedSubgraph sub = induced_subgraph(g, members);
+      reference::InducedSubgraph sub = reference::ball(g, v, 1);
       std::vector<std::string> ball_payloads;
       for (std::size_t i = 0; i < sub.to_parent.size(); ++i) {
         ball_payloads.push_back(

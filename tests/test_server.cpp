@@ -487,6 +487,19 @@ TEST(Routing, MalformedSelectorsAreBadRequestsNotMismatches) {
   live.stop();
 }
 
+TEST(Routing, BadRequestBodyCarriesTheMessageAlone) {
+  // The 400 body names what is wrong with the request, not the C++
+  // condition that caught it.
+  Server server{ServeOptions{}};
+  const HttpResponse response = server.handle(make_request(
+      "POST", "/v1/run",
+      R"({"scenario": "family-workload", "family": "cycle:n=1"})"));
+  EXPECT_EQ(response.status, 400);
+  EXPECT_EQ(response.body,
+            error_document(400, "family \"cycle\" parameter n = 1 is "
+                                "outside [3, 16777216]"));
+}
+
 TEST(Routing, ServeOptionsAreValidated) {
   ServeOptions bad_workers;
   bad_workers.workers = 0;

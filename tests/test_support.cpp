@@ -39,18 +39,14 @@ TEST(Check, MessageCarriesLocationAndText) {
   }
 }
 
-// A caller-facing error reaches documents and HTTP bodies, so its text
-// names the condition but never the file it was compiled from.
+// A caller-facing error reaches stderr and HTTP bodies, so its text is the
+// message alone: no C++ condition, no file it was compiled from.
 TEST(Check, ErrorTextOmitsSourceLocation) {
   try {
     LOCALD_CHECK(1 == 2, "custom context");
     FAIL() << "expected a throw";
   } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("1 == 2"), std::string::npos);
-    EXPECT_NE(what.find("custom context"), std::string::npos);
-    EXPECT_EQ(what.find(__FILE__), std::string::npos) << what;
-    EXPECT_EQ(what.find("test_support.cpp"), std::string::npos) << what;
+    EXPECT_EQ(std::string(e.what()), "custom context");
   }
 }
 
