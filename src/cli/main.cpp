@@ -224,7 +224,7 @@ int list_faults(const ScenarioOptions& opts, const std::string& format) {
 int run_scenario_json(const std::string& name, const ScenarioOptions& base,
                       int threads) {
   try {
-    check_request(name, base.family, base.faults);
+    check_request(name, base.family, base.faults, {base.size});
   } catch (const Error& e) {
     std::cerr << e.what() << "\n";
     return 2;
@@ -301,8 +301,8 @@ int run_scenarios(const std::vector<std::string>& names,
   std::vector<const Scenario*> scenarios;
   for (const std::string& name : names) {
     try {
-      scenarios.push_back(
-          &check_request(name, base_opts.family, base_opts.faults));
+      scenarios.push_back(&check_request(
+          name, base_opts.family, base_opts.faults, {base_opts.size}));
     } catch (const Error& e) {
       std::cerr << e.what() << "\n";
       return 2;

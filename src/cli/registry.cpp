@@ -32,7 +32,8 @@ const Scenario* find_scenario(const std::string& name) {
 
 const Scenario& check_request(const std::string& name,
                               const std::string& family,
-                              const std::string& faults) {
+                              const std::string& faults,
+                              const std::vector<int>& sizes) {
   const Scenario* scenario = find_scenario(name);
   if (scenario == nullptr) {
     throw UnknownScenario(cat("unknown scenario ", json_quote(name),
@@ -45,6 +46,13 @@ const Scenario& check_request(const std::string& name,
   if (!family.empty()) {
     if (scenario->family_help.empty()) throw does_not_take("a family");
     (void)gen::resolve_family_text(family);
+  }
+  if (!scenario->default_family.empty()) {
+    const std::string& selector =
+        family.empty() ? scenario->default_family : family;
+    for (int size : sizes) {
+      (void)gen::resolve_family_text(selector, size);
+    }
   }
   if (!faults.empty()) {
     if (scenario->fault_help.empty()) throw does_not_take("a fault profile");

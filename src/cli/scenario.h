@@ -66,6 +66,10 @@ struct Scenario {
   // fault profiles existed — keep their meaning; scenarios opting in set
   // the field by name.
   std::string fault_help{};
+  // Set by a scenario whose --size is its family's target node count: the
+  // family it builds when no --family is given. check_request resolves the
+  // family at every requested size of such a scenario.
+  std::string default_family{};
 };
 
 // The full registry, in paper order.
@@ -84,11 +88,15 @@ class UnknownScenario : public Error {
 // `locald run`, `locald sweep`, POST /v1/run and POST /v1/sweep. `name` must
 // be registered (else UnknownScenario); a non-empty `family` / `faults`
 // selector must go to a scenario that takes one and must resolve
-// (gen::resolve_family_text, local::resolve_faults_text). Every failure
-// throws `Error`: a usage error (exit 2 / HTTP 400), never a mismatch.
+// (gen::resolve_family_text, local::resolve_faults_text). For a scenario
+// with a `default_family`, the family (the selector, or that default) must
+// also resolve at every requested size: `sizes` holds the run's --size, or
+// the sweep's grid (empty: the default size 0). Every failure throws
+// `Error`: a usage error (exit 2 / HTTP 400), never a mismatch.
 const Scenario& check_request(const std::string& name,
                               const std::string& family,
-                              const std::string& faults);
+                              const std::string& faults,
+                              const std::vector<int>& sizes);
 
 // Shared table emission: a titled aligned table in text mode, a
 // `# title`-prefixed RFC-4180 block in CSV mode.

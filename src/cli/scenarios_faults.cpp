@@ -95,6 +95,7 @@ std::vector<Scenario> fault_scenarios() {
   s.fault_help =
       "any registered profile (default chaos; see `locald list --faults`)";
   s.run = run_fault_robustness;
+  s.default_family = kDefaultFamily;
   return {std::move(s)};
 }
 

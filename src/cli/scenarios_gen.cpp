@@ -63,14 +63,18 @@ bool run_family_workload(const ScenarioOptions& opts, std::ostream& out) {
 }  // namespace
 
 std::vector<Scenario> gen_scenarios() {
-  return {{
-      "family-workload",
-      "gen/ registry",
-      "invariant audit + Id-oblivious panel over a generated graph family",
-      "target node count for the family's size mapping (0 = family defaults)",
-      "any registered family (default cycle; see `locald list --families`)",
-      run_family_workload,
-  }};
+  Scenario s;
+  s.name = "family-workload";
+  s.paper_ref = "gen/ registry";
+  s.summary =
+      "invariant audit + Id-oblivious panel over a generated graph family";
+  s.size_help =
+      "target node count for the family's size mapping (0 = family defaults)";
+  s.family_help =
+      "any registered family (default cycle; see `locald list --families`)";
+  s.run = run_family_workload;
+  s.default_family = kDefaultFamily;
+  return {std::move(s)};
 }
 
 }  // namespace locald::cli

@@ -59,7 +59,8 @@ int run_sweep(const std::string& scenario_name, const SweepOptions& sweep,
               std::ostream& out, const std::function<void()>& flush) {
   const Scenario* scenario = nullptr;
   try {
-    scenario = &check_request(scenario_name, sweep.family, sweep.faults);
+    scenario =
+        &check_request(scenario_name, sweep.family, sweep.faults, sweep.sizes);
   } catch (const Error& e) {
     std::cerr << e.what() << "\n";
     return 2;

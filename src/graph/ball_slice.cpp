@@ -58,6 +58,36 @@ NodeId BallRemap::find(NodeId h) const {
 }
 
 template <class Remap>
+void BasicBallScratch<Remap>::merge_layer(std::size_t begin) {
+  // Bottom-up merge of the runs ending at run_ends_ (offsets from `begin`),
+  // ping-ponging between the layer and merge_buf_: O(n log runs), and a
+  // single-run layer is left as it is.
+  if (run_ends_.size() < 2) {
+    return;
+  }
+  const std::size_t n = members_.size() - begin;
+  merge_buf_.resize(n);
+  NodeId* src = members_.data() + begin;
+  NodeId* dst = merge_buf_.data();
+  while (run_ends_.size() > 1) {
+    std::size_t merged = 0;
+    std::size_t lo = 0;
+    for (std::size_t r = 0; r < run_ends_.size(); r += 2) {
+      const std::size_t mid = run_ends_[r];
+      const std::size_t hi = r + 1 < run_ends_.size() ? run_ends_[r + 1] : mid;
+      std::merge(src + lo, src + mid, src + mid, src + hi, dst + lo);
+      run_ends_[merged++] = hi;
+      lo = hi;
+    }
+    run_ends_.resize(merged);
+    std::swap(src, dst);
+  }
+  if (src != members_.data() + begin) {
+    std::copy(src, src + n, members_.data() + begin);
+  }
+}
+
+template <class Remap>
 BallSlice BasicBallScratch<Remap>::extract(const CsrSpan& host, NodeId v,
                                            int radius) {
   LOCALD_CHECK(radius >= 0, "radius must be non-negative");
@@ -75,15 +105,24 @@ BallSlice BasicBallScratch<Remap>::extract(const CsrSpan& host, NodeId v,
     if (frontier_begin == frontier_end) {
       break;
     }
+    // Each frontier node appends its newly claimed neighbours in host-row
+    // order, i.e. ascending, so the layer is a concatenation of ascending
+    // runs. Record where one run descends into the next, then merge.
+    run_ends_.clear();
     for (std::size_t i = frontier_begin; i < frontier_end; ++i) {
+      const std::size_t row_begin = members_.size();
       for (NodeId w : host.neighbors(members_[i])) {
         if (remap_.claim(w)) {
           members_.push_back(w);
         }
       }
+      if (row_begin > frontier_end && row_begin < members_.size() &&
+          members_[row_begin - 1] > members_[row_begin]) {
+        run_ends_.push_back(row_begin - frontier_end);
+      }
     }
-    std::sort(members_.begin() + static_cast<std::ptrdiff_t>(frontier_end),
-              members_.end());
+    run_ends_.push_back(members_.size() - frontier_end);
+    merge_layer(frontier_end);
     layer_begin_.push_back(static_cast<NodeId>(frontier_end));
     frontier_begin = frontier_end;
   }

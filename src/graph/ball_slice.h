@@ -15,7 +15,10 @@
 //
 // Ordering contract, identical for both remaps: local id 0 is the centre;
 // each BFS layer is appended sorted by ascending host id; every adjacency
-// row is sorted by local id. Every canonical encoding depends on it.
+// row is sorted by local id. Every canonical encoding depends on it. No
+// step sorts: host rows are ascending, so a layer arrives as one ascending
+// run per frontier node, and the runs are merged (O(n log runs)); rows are
+// assembled from per-layer buckets.
 #pragma once
 
 #include <algorithm>
@@ -112,6 +115,9 @@ class BasicBallScratch {
   BallSlice extract(const CsrSpan& host, NodeId v, int radius);
 
  private:
+  // Sorts the layer members_[begin..] from its ascending runs.
+  void merge_layer(std::size_t begin);
+
   Remap remap_;                       // host -> local for members_
   std::vector<NodeId> members_;       // local -> host
   std::vector<NodeId> layer_begin_;   // local id starting each BFS layer
@@ -119,6 +125,10 @@ class BasicBallScratch {
   std::vector<NodeId> row_above_;     // next-layer bucket of the current row
   std::vector<EdgeIndex> offsets_;
   std::vector<NodeId> adj_;
+  // merge_layer's state: where each ascending run of the layer being built
+  // ends (offsets into the layer), and the buffer it merges into.
+  std::vector<std::size_t> run_ends_;
+  std::vector<NodeId> merge_buf_;
 };
 
 using BallScratch = BasicBallScratch<HostRemap>;

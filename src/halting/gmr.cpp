@@ -43,7 +43,7 @@ std::optional<DecodedLabel> decode_label(const local::Label& l) {
       out.xm3 < 0 || out.xm3 > 2 || out.ym3 < 0 || out.ym3 > 2) {
     return std::nullopt;
   }
-  out.machine_encoding.assign(l.fields().begin() + 6, l.fields().end());
+  out.machine_encoding = std::span(l.fields()).subspan(6);
   return out;
 }
 

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 
 #include "local/labeled_graph.h"
 #include "local/property.h"
@@ -50,7 +51,10 @@ local::Label cell_label(const tm::TuringMachine& m, int r, int x, int y,
                         int code, std::int64_t role = kRoleTableCell);
 local::Label pyramid_label(const tm::TuringMachine& m, int r);
 
-// Decoded label contents.
+// Decoded label contents. A DecodedLabel borrows its label:
+// `machine_encoding` views the label's own fields, so decoding allocates
+// nothing, and the result is valid only while the label is alive and
+// unchanged.
 struct DecodedLabel {
   int r = 0;
   std::int64_t role = kRoleTableCell;
@@ -58,7 +62,7 @@ struct DecodedLabel {
   int xm3 = 0;
   int ym3 = 0;
   int code = 0;
-  std::vector<std::int64_t> machine_encoding;
+  std::span<const std::int64_t> machine_encoding;
 };
 std::optional<DecodedLabel> decode_label(const local::Label& l);
 

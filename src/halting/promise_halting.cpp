@@ -18,8 +18,7 @@ std::optional<tm::TuringMachine> decode_cycle_label(const local::Label& l) {
     return std::nullopt;
   }
   try {
-    return tm::TuringMachine::decode(
-        std::vector<std::int64_t>(l.fields().begin() + 1, l.fields().end()));
+    return tm::TuringMachine::decode(std::span(l.fields()).subspan(1));
   } catch (const Error&) {
     return std::nullopt;
   }

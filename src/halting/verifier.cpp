@@ -5,6 +5,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 
 #include "support/format.h"
 #include "tm/run.h"
@@ -37,13 +38,21 @@ Relation classify(const DecodedLabel& a, const DecodedLabel& b) {
 }
 
 struct ParsedBall {
-  std::vector<std::optional<DecodedLabel>> labels;
+  std::vector<DecodedLabel> labels;  // borrowed from the ball's labels
   // position[v] = (dx, dy) relative to the centre within its grid component
   // (only nodes reachable from the centre via grid edges).
   std::map<graph::NodeId, std::pair<int, int>> position;
   std::map<std::pair<int, int>, graph::NodeId> at;
   std::vector<graph::NodeId> glue_partners_of_center;
   bool ok = false;
+};
+
+struct EncodingLess {
+  using is_transparent = void;
+  bool operator()(std::span<const std::int64_t> a,
+                  std::span<const std::int64_t> b) const {
+    return std::ranges::lexicographical_compare(a, b);
+  }
 };
 
 struct MachineCtx {
@@ -67,10 +76,10 @@ int glue_degree(const BallView& ball, const ParsedBall& parsed, graph::NodeId v)
   for (graph::NodeId w : ball.g.neighbors(v)) {
     const auto& lv = parsed.labels[static_cast<std::size_t>(v)];
     const auto& lw = parsed.labels[static_cast<std::size_t>(w)];
-    if (!lv->is_cell() || !lw->is_cell()) {
+    if (!lv.is_cell() || !lw.is_cell()) {
       continue;
     }
-    if (classify(*lv, *lw) == Relation::glue) {
+    if (classify(lv, lw) == Relation::glue) {
       ++count;
     }
   }
@@ -93,10 +102,10 @@ bool assign_positions(const BallView& ball, ParsedBall& parsed,
     const auto& lu = parsed.labels[static_cast<std::size_t>(u)];
     for (graph::NodeId w : ball.g.neighbors(u)) {
       const auto& lw = parsed.labels[static_cast<std::size_t>(w)];
-      if (!lu->is_cell() || !lw->is_cell()) {
+      if (!lu.is_cell() || !lw.is_cell()) {
         continue;
       }
-      const Relation rel = classify(*lu, *lw);
+      const Relation rel = classify(lu, lw);
       if (rel == Relation::invalid) {
         return false;
       }
@@ -150,30 +159,27 @@ class GmrVerifier final : public local::LocalAlgorithm {
 
   Verdict evaluate(const BallView& ball) const override {
     ParsedBall parsed;
-    parsed.labels.resize(static_cast<std::size_t>(ball.node_count()));
-    std::optional<std::vector<std::int64_t>> enc;
-    int r = -1;
+    parsed.labels.reserve(static_cast<std::size_t>(ball.node_count()));
     for (graph::NodeId v = 0; v < ball.node_count(); ++v) {
-      auto d = decode_label(ball.label(v));
+      const auto d = decode_label(ball.label(v));
       if (!d.has_value()) {
         return Verdict::no;
       }
-      if (enc.has_value()) {
-        if (d->machine_encoding != *enc || d->r != r) {
+      if (!parsed.labels.empty()) {
+        const DecodedLabel& first = parsed.labels.front();
+        if (d->r != first.r ||
+            !std::ranges::equal(d->machine_encoding, first.machine_encoding)) {
           return Verdict::no;  // step 1: everyone shares (M, r)
         }
-      } else {
-        enc = d->machine_encoding;
-        r = d->r;
       }
-      parsed.labels[static_cast<std::size_t>(v)] = std::move(d);
+      parsed.labels.push_back(*d);
     }
-    MachineCtx* ctx = context(*enc);
+    MachineCtx* ctx = context(parsed.labels.front().machine_encoding);
     if (ctx == nullptr || !ctx->valid) {
       return Verdict::no;
     }
     const auto& center_label =
-        *parsed.labels[static_cast<std::size_t>(ball.center)];
+        parsed.labels[static_cast<std::size_t>(ball.center)];
     if (center_label.role == kRolePyramid) {
       // Appendix-A mode: pyramid structure is validated by the global
       // oracle; locally only the mode gate applies.
@@ -181,7 +187,7 @@ class GmrVerifier final : public local::LocalAlgorithm {
     }
     if (!pyramidal_) {
       for (const auto& l : parsed.labels) {
-        if (l->role == kRolePyramid) {
+        if (l.role == kRolePyramid) {
           return Verdict::no;
         }
       }
@@ -191,8 +197,8 @@ class GmrVerifier final : public local::LocalAlgorithm {
     }
     for (graph::NodeId w : ball.g.neighbors(ball.center)) {
       const auto& lw = parsed.labels[static_cast<std::size_t>(w)];
-      if (center_label.is_cell() && lw->is_cell() &&
-          classify(center_label, *lw) == Relation::glue) {
+      if (center_label.is_cell() && lw.is_cell() &&
+          classify(center_label, lw) == Relation::glue) {
         parsed.glue_partners_of_center.push_back(w);
       }
     }
@@ -211,7 +217,7 @@ class GmrVerifier final : public local::LocalAlgorithm {
     if (it == parsed.at.end()) {
       return std::nullopt;
     }
-    return parsed.labels[static_cast<std::size_t>(it->second)]->code;
+    return parsed.labels[static_cast<std::size_t>(it->second)].code;
   }
 
   Verdict check_cell(const MachineCtx& ctx, const BallView& ball,
@@ -227,8 +233,7 @@ class GmrVerifier final : public local::LocalAlgorithm {
       if (center.role != kRoleFragmentCell) {
         return Verdict::no;  // only fragment borders glue to the pivot
       }
-      const auto& partner =
-          *parsed.labels[static_cast<std::size_t>(glue[0])];
+      const auto& partner = parsed.labels[static_cast<std::size_t>(glue[0])];
       if (!is_pivot_like(ctx, partner) ||
           glue_degree(ball, parsed, glue[0]) < 2) {
         return Verdict::no;
@@ -325,7 +330,7 @@ class GmrVerifier final : public local::LocalAlgorithm {
             continue;
           }
           const auto& lx = parsed.labels[static_cast<std::size_t>(x)];
-          if (classify(*lu, *lx) == Relation::glue) {
+          if (classify(lu, lx) == Relation::glue) {
             continue;
           }
           component[x] = c;
@@ -376,7 +381,7 @@ class GmrVerifier final : public local::LocalAlgorithm {
     for (graph::NodeId v : members) {
       const auto [x, y] = sub.position.at(v);
       codes[{x - min_x, y - min_y}] =
-          parsed.labels[static_cast<std::size_t>(v)]->code;
+          parsed.labels[static_cast<std::size_t>(v)].code;
     }
     // Shape: full top row, optional full side columns, optional bottom row.
     const int k = k_;
@@ -452,7 +457,7 @@ class GmrVerifier final : public local::LocalAlgorithm {
   // built outside the lock (two threads may race to build the same one;
   // the first emplace wins), and entries are never erased, so a returned
   // pointer stays valid for the verifier's lifetime.
-  MachineCtx* context(const std::vector<std::int64_t>& enc) const {
+  MachineCtx* context(std::span<const std::int64_t> enc) const {
     {
       const std::lock_guard<std::mutex> lock(cache_mutex_);
       auto it = cache_.find(enc);
@@ -482,8 +487,9 @@ class GmrVerifier final : public local::LocalAlgorithm {
     } catch (const Error&) {
       ctx = nullptr;
     }
+    std::vector<std::int64_t> key(enc.begin(), enc.end());
     const std::lock_guard<std::mutex> lock(cache_mutex_);
-    return cache_.emplace(enc, std::move(ctx)).first->second.get();
+    return cache_.emplace(std::move(key), std::move(ctx)).first->second.get();
   }
 
   int k_;
@@ -491,7 +497,10 @@ class GmrVerifier final : public local::LocalAlgorithm {
   bool pyramidal_;
   long long step_budget_;
   mutable std::mutex cache_mutex_;
-  mutable std::map<std::vector<std::int64_t>, std::unique_ptr<MachineCtx>>
+  // Keyed by machine encoding; EncodingLess looks a label's span up
+  // without copying it into a vector.
+  mutable std::map<std::vector<std::int64_t>, std::unique_ptr<MachineCtx>,
+                   EncodingLess>
       cache_;
 };
 

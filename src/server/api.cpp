@@ -273,7 +273,7 @@ std::string version_document() {
 std::string run_document(const RunRequest& request,
                          const exec::ExecContext& exec, bool* ok_out) {
   const cli::Scenario& scenario = cli::check_request(
-      request.scenario, request.family, request.fault_profile);
+      request.scenario, request.family, request.fault_profile, {request.size});
 
   cli::ScenarioOptions opts;
   opts.seed = request.seed;
@@ -341,7 +341,8 @@ cli::SweepOptions sweep_options_for(const SweepRequest& request,
                                     exec::ThreadPool* pool) {
   // Checked here so the HTTP layer can answer 404 / 400 before running (or
   // streaming) anything; run_sweep re-checks internally.
-  cli::check_request(request.scenario, request.family, request.fault_profile);
+  cli::check_request(request.scenario, request.family, request.fault_profile,
+                     request.sizes);
   cli::SweepOptions sweep;
   sweep.seed = request.seed;
   sweep.sizes = request.sizes;

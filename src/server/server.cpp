@@ -538,7 +538,8 @@ std::optional<HttpResponse> Server::stream_sweep(int fd,
   SweepRequest sweep;
   try {
     sweep = parse_sweep_request(request.body);
-    cli::check_request(sweep.scenario, sweep.family, sweep.fault_profile);
+    cli::check_request(sweep.scenario, sweep.family, sweep.fault_profile,
+                       sweep.sizes);
   } catch (const cli::UnknownScenario& e) {
     return error_response(404, e.what());
   } catch (const Error& e) {

@@ -69,7 +69,7 @@ std::vector<std::int64_t> TuringMachine::encode() const {
   return out;
 }
 
-TuringMachine TuringMachine::decode(const std::vector<std::int64_t>& fields,
+TuringMachine TuringMachine::decode(std::span<const std::int64_t> fields,
                                     std::string name) {
   LOCALD_CHECK(fields.size() >= 2, "machine encoding too short");
   const int states = static_cast<int>(fields[0]);

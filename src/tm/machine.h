@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -65,7 +66,7 @@ class TuringMachine {
   // then the transition table row-major), so that every node of G(M, r) can
   // carry "(M, r) as part of its input labelling".
   std::vector<std::int64_t> encode() const;
-  static TuringMachine decode(const std::vector<std::int64_t>& fields,
+  static TuringMachine decode(std::span<const std::int64_t> fields,
                               std::string name = "decoded");
 
   bool operator==(const TuringMachine& other) const {

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -26,9 +27,12 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "graph/isomorphism.h"
+#include "halting/gmr.h"
 #include "local/ball.h"
 #include "reference_ball.h"
 #include "support/check.h"
+#include "support/rng.h"
+#include "tm/zoo.h"
 
 namespace locald::graph {
 namespace {
@@ -229,6 +233,44 @@ TEST(CsrEquivalence, LargeAndHubBallsGrowTheBallRemap) {
     for (int radius : {4, 9, 15}) {
       expect_reference_ball(dense, grid, v, radius);
       expect_reference_ball(sparse, grid, v, radius);
+    }
+  }
+}
+
+TEST(CsrEquivalence, LayersOfManyInterleavedRunsMatchTheReferenceBall) {
+  // A BFS layer arrives as one ascending run per frontier node and is
+  // merged, not sorted. Two hosts whose layers hold many interleaved runs:
+  // G(M, r), whose pivot is glued to border cells of every fragment (the
+  // radius-2 ball of a fragment border cell holds the pivot's whole
+  // neighbourhood), and a random graph whose ids are shuffled so that
+  // every row scatters over the id range.
+  tm::FragmentPolicy policy;
+  policy.max_fragments = 40;
+  policy.seed = 7;
+  const halting::GmrInstance gmr = halting::build_gmr(
+      halting::GmrParams{tm::halt_after(2, 0), 1, 3, policy, false, 4096});
+  ASSERT_GT(gmr.graph.graph().degree(gmr.pivot), 40);
+
+  const CsrGraph base = make_random_connected(120, 300, 905);
+  std::vector<NodeId> perm(static_cast<std::size_t>(base.node_count()));
+  std::iota(perm.begin(), perm.end(), NodeId{0});
+  Rng rng(906);
+  rng.shuffle(perm);
+  auto edges = base.edges();
+  for (auto& [u, v] : edges) {
+    u = perm[static_cast<std::size_t>(u)];
+    v = perm[static_cast<std::size_t>(v)];
+  }
+  const CsrGraph shuffled = CsrGraph::from_edges(base.node_count(), edges);
+
+  BallScratch dense;
+  SparseBallScratch sparse;
+  for (const CsrGraph* g : {&gmr.graph.graph(), &shuffled}) {
+    for (NodeId v = 0; v < g->node_count(); ++v) {
+      for (int radius : {0, 1, 2, 3}) {
+        expect_reference_ball(dense, *g, v, radius);
+        expect_reference_ball(sparse, *g, v, radius);
+      }
     }
   }
 }

@@ -98,6 +98,33 @@ TEST(Gmr, LabelRoundTrip) {
   EXPECT_FALSE(decode_label(local::Label{1, 2, 3}).has_value());
 }
 
+TEST(Gmr, DecodeBorrowsTheLabelAndRejectsGarbage) {
+  const tm::TuringMachine m = tm::halt_after(2, 0);
+  const local::Label l = cell_label(m, 1, 7, 5, 3, kRoleFragmentCell);
+  const auto d = decode_label(l);
+  ASSERT_TRUE(d.has_value());
+  // The encoding is a view of the label's own fields, not a copy.
+  EXPECT_EQ(d->machine_encoding.data(), l.fields().data() + 6);
+  EXPECT_EQ(d->machine_encoding.size(), m.encode().size());
+
+  std::vector<local::Label> garbage{
+      local::Label{},
+      local::Label{kGmrTag, 1, kRoleTableCell, 0, 0, 0, 2},  // 7 fields
+      local::Label{kGmrTag + 1, 1, kRoleTableCell, 0, 0, 0, 2, 2},
+  };
+  // Each header field out of range in an otherwise valid label.
+  for (const auto& [field, value] :
+       std::vector<std::pair<std::size_t, std::int64_t>>{
+           {1, -1}, {2, 3}, {3, 3}, {3, -1}, {4, 3}, {4, -1}}) {
+    std::vector<std::int64_t> fields = l.fields();
+    fields[field] = value;
+    garbage.emplace_back(std::move(fields));
+  }
+  for (const local::Label& g : garbage) {
+    EXPECT_FALSE(decode_label(g).has_value()) << g.to_string();
+  }
+}
+
 TEST(Gmr, BuildShape) {
   const GmrParams params = make_params(tm::halt_after(2, 0));
   const GmrInstance inst = build_gmr(params);
@@ -166,6 +193,48 @@ TEST(Verifier, RejectsForeignMachineLabel) {
   bad.set_label(7, cell_label(tm::halt_after(2, 1), params.r, 3, 1,
                               decode_label(bad.label(7))->code));
   EXPECT_FALSE(local::run_oblivious(*verifier, bad).accepted);
+}
+
+TEST(Verifier, StepOneRejectsAForeignLabelInsideHubBalls) {
+  // The pivot is glued to every non-natural fragment border cell, so the
+  // radius-2 ball of each glued cell holds every other glued cell. Mutate
+  // one glued cell's (M, r): every other glued cell's ball must then fail
+  // step 1 ("everyone shares (M, r)") on a label away from its centre.
+  const GmrParams params = make_params(tm::halt_after(2, 0));
+  const GmrInstance inst = build_gmr(params);
+  const auto verifier =
+      make_gmr_verifier(3, params.policy, false, params.step_budget);
+  ASSERT_TRUE(local::run_oblivious(*verifier, inst.graph).accepted);
+
+  std::vector<graph::NodeId> glued;
+  for (graph::NodeId w : inst.graph.graph().neighbors(inst.pivot)) {
+    if (decode_label(inst.graph.label(w))->role == kRoleFragmentCell) {
+      glued.push_back(w);
+    }
+  }
+  ASSERT_GE(glued.size(), 3u);
+  const graph::NodeId target = glued.back();
+  const std::vector<std::int64_t>& fields = inst.graph.label(target).fields();
+
+  std::vector<std::int64_t> other_r = fields;
+  other_r[1] += 1;
+  std::vector<std::int64_t> other_last = fields;
+  other_last.back() += 1;
+  std::vector<std::int64_t> longer = fields;
+  longer.push_back(0);
+  for (const auto& mutated : {other_r, other_last, longer}) {
+    LabeledGraph bad = inst.graph;
+    bad.set_label(target, local::Label(mutated));
+    const auto run = local::run_oblivious(*verifier, bad);
+    EXPECT_FALSE(run.accepted) << local::Label(mutated).to_string();
+    for (graph::NodeId w : glued) {
+      if (w != target) {
+        EXPECT_EQ(run.outputs[static_cast<std::size_t>(w)], Verdict::no)
+            << "glued cell " << w << " accepted "
+            << local::Label(mutated).to_string();
+      }
+    }
+  }
 }
 
 TEST(Verifier, RejectsMissingFragment) {

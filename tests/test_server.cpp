@@ -487,6 +487,63 @@ TEST(Routing, MalformedSelectorsAreBadRequestsNotMismatches) {
   live.stop();
 }
 
+TEST(Routing, OutOfRangeFamilySizesAreBadRequestsNotMismatches) {
+  // A size the family cannot be built at is the request's fault too, for
+  // the scenario's default family and for an explicit one, at --size and
+  // at any point of a sweep grid.
+  Server server{ServeOptions{}};
+  const std::string too_big = error_document(
+      400, "family \"cycle\" parameter n = 100000000 is outside [3, 16777216]");
+  for (const char* body :
+       {R"({"scenario": "family-workload", "size": 100000000})",
+        R"({"scenario": "fault-robustness", "size": 100000000})",
+        R"({"scenario": "family-workload", "family": "cycle",
+            "size": 100000000})"}) {
+    const HttpResponse response =
+        server.handle(make_request("POST", "/v1/run", body));
+    EXPECT_EQ(response.status, 400) << body;
+    EXPECT_EQ(response.body, too_big) << body;
+  }
+  for (const char* body :
+       {R"({"scenario": "family-workload", "sizes": [8, 100000000]})",
+        R"({"scenario": "fault-robustness", "sizes": [100000000]})"}) {
+    EXPECT_EQ(server.handle(make_request("POST", "/v1/sweep", body)).status,
+              400)
+        << body;
+  }
+  // In range, the same requests run.
+  EXPECT_EQ(server
+                .handle(make_request(
+                    "POST", "/v1/run",
+                    R"({"scenario": "family-workload", "size": 16})"))
+                .status,
+            200);
+
+  // The document builders and the CLI's sweep share the check.
+  RunRequest run;
+  run.scenario = "family-workload";
+  run.size = 100000000;
+  EXPECT_THROW(run_document(run, exec::ExecContext{}, nullptr), Error);
+  cli::SweepOptions sweep;
+  sweep.sizes = {8, 100000000};
+  std::ostringstream out;
+  EXPECT_EQ(cli::run_sweep("family-workload", sweep, out), 2);
+  EXPECT_TRUE(out.str().empty());
+
+  // A streamed /v1/sweep answers buffered, before any head.
+  ServeOptions ephemeral;
+  ephemeral.port = 0;
+  Server live{ephemeral};
+  live.start();
+  const ClientResponse streamed = request(
+      live.port(),
+      post("/v1/sweep",
+           R"({"scenario": "family-workload", "sizes": [8, 100000000]})"));
+  EXPECT_EQ(streamed.status, 400);
+  EXPECT_EQ(streamed.head.find("Transfer-Encoding"), std::string::npos);
+  live.stop();
+}
+
 TEST(Routing, BadRequestBodyCarriesTheMessageAlone) {
   // The 400 body names what is wrong with the request, not the C++
   // condition that caught it.

@@ -47,7 +47,8 @@ TEST(Machine, EncodeDecodeRoundTrip) {
 
 TEST(Machine, DecodeRejectsMalformed) {
   EXPECT_THROW(TuringMachine::decode({}), Error);
-  EXPECT_THROW(TuringMachine::decode({3, 2, 1}), Error);
+  EXPECT_THROW(TuringMachine::decode(std::vector<std::int64_t>{3, 2, 1}),
+               Error);
 }
 
 TEST(Machine, CellCodes) {
