@@ -70,7 +70,8 @@ int usage(std::ostream& out, int status) {
          "  --sizes a,b,c   sweep/bench: the --size grid (default: scenario "
          "or family\n"
          "                  default size)\n"
-         "  --trials N      sample count for randomized scenarios\n"
+         "  --trials N      sample count for randomized scenarios (N >= 1;\n"
+         "                  omit it for the scenario default)\n"
          "  --family F      graph-family selector `name:k=v,...` (see "
          "`locald list\n"
          "                  --families`); family-aware scenarios only; "
@@ -457,6 +458,11 @@ int main_impl(int argc, char** argv) {
       } else if (arg == "--size") {
         opts.size = static_cast<int>(*parsed);
       } else {
+        // Leaving --trials out means the scenario default; 0 is a typo.
+        if (*parsed == 0) {
+          std::cerr << "--trials needs a positive integer\n";
+          return 2;
+        }
         opts.trials = static_cast<int>(*parsed);
       }
     } else if (arg == "--threads" || arg == "--sizes") {

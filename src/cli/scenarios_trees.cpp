@@ -19,7 +19,8 @@ namespace {
 // Fig. 1 / Sec. 2: ball-coverage audit behind P ∉ LD* plus the LD decider.
 // --size selects the largest r audited (default and max 3; the audit is
 // exhaustive through r = 2 and sampled at r = 3). r = 4 is out of reach:
-// R(4) = 32 exceeds the construction's R <= 24 tree-size guard.
+// R(4) = 38 puts T_4's 2^39 - 1 heap ids beyond the 32-bit NodeId the
+// audit samples.
 bool run_fig1(const ScenarioOptions& opts, std::ostream& out) {
   const int max_r = std::clamp(opts.size == 0 ? 3 : opts.size, 1, 3);
   Rng rng(opts.seed);

@@ -10,8 +10,9 @@
 // the remap. `BallScratch` (`HostRemap`, a host-sized array reset sparsely
 // from the previous ball: 4 B per host node, one read per edge) serves
 // sweeps over every node of a host. `SparseBallScratch` (`BallRemap`, an
-// open-addressed table sized to the ball) serves one-off balls of huge
-// hosts, such as the tree audit's samples of a multi-million-node T_r.
+// open-addressed table sized to the ball) serves one-off balls
+// (`local::extract_ball`), whose cost then scales with the ball rather
+// than the host.
 //
 // Ordering contract, identical for both remaps: local id 0 is the centre;
 // each BFS layer is appended sorted by ascending host id; every adjacency

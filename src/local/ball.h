@@ -14,8 +14,8 @@
 // valid only while their backing storage (a scratch, an owning `Ball`, or
 // the id vector passed to `with_ids`) is alive. Every view of a host graph
 // comes from graph/ball_slice.h's one extraction routine: sweeps use a
-// per-thread `BallScratch` (host-sized remap), one-off balls of huge hosts
-// a `SparseBallScratch` (ball-sized remap).
+// per-thread `BallScratch` (host-sized remap), one-off balls a
+// `SparseBallScratch` (ball-sized remap).
 //
 // `Ball` is plain owning storage (a `CsrGraph` plus label/id vectors), read
 // only through `view()`. It backs the event engine's knowledge

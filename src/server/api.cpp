@@ -35,6 +35,15 @@ int take_count(const JsonValue& v, const char* field) {
   return static_cast<int>(n);
 }
 
+// An absent "trials" means the scenario default; an explicit 0 is a typo,
+// not a request for that default.
+int take_trials(const JsonValue& v) {
+  const int n = take_count(v, "trials");
+  LOCALD_CHECK(n > 0, "field \"trials\" must be positive (omit it for the "
+                      "scenario default)");
+  return n;
+}
+
 JsonValue parse_object_body(const std::string& body) {
   LOCALD_CHECK(!body.empty(), "request body must be a JSON object");
   const JsonValue root = parse_json(body);
@@ -97,9 +106,7 @@ RunRequest parse_run_request(const std::string& body) {
   req.scenario = take_scenario_name(root);
   if (const JsonValue* v = root.find("seed")) req.seed = take_seed(*v, "seed");
   if (const JsonValue* v = root.find("size")) req.size = take_count(*v, "size");
-  if (const JsonValue* v = root.find("trials")) {
-    req.trials = take_count(*v, "trials");
-  }
+  if (const JsonValue* v = root.find("trials")) req.trials = take_trials(*v);
   req.family = take_family(root);
   req.fault_profile = take_fault_profile(root);
   return req;
@@ -114,9 +121,7 @@ SweepRequest parse_sweep_request(const std::string& body) {
   req.family = take_family(root);
   req.fault_profile = take_fault_profile(root);
   if (const JsonValue* v = root.find("seed")) req.seed = take_seed(*v, "seed");
-  if (const JsonValue* v = root.find("trials")) {
-    req.trials = take_count(*v, "trials");
-  }
+  if (const JsonValue* v = root.find("trials")) req.trials = take_trials(*v);
   if (const JsonValue* v = root.find("sizes")) {
     LOCALD_CHECK(v->is_array(), "field \"sizes\" must be an array");
     LOCALD_CHECK(!v->items().empty(),

@@ -16,15 +16,10 @@ TreeAuditResult audit_tree_coverage(const TreeParams& p,
   const bool exhaustive = max_nodes == 0 || max_nodes >= n;
   const std::uint64_t count = exhaustive ? n : max_nodes;
 
-  // Build T_r lazily only if canonical comparisons are requested.
-  std::unique_ptr<local::LabeledGraph> T;
-  if (canonical_sample > 0) {
-    T = std::make_unique<local::LabeledGraph>(build_T(p));
-  }
-
-  // T_r has millions of nodes and only a few sampled balls: a ball-sized
-  // remap, not a host-sized one.
-  local::SparseBallScratch scratch;
+  // T_r itself is never built (T_3 has 4.2M nodes): each checked ball of
+  // T_r is cut from its closed neighbourhood, built from coordinates. Both
+  // hosts are a few nodes, so a host-sized remap is the small one.
+  local::BallScratch scratch;
   TreeAuditResult result;
   for (std::uint64_t i = 0; i < count; ++i) {
     const graph::NodeId v = static_cast<graph::NodeId>(
@@ -43,11 +38,11 @@ TreeAuditResult audit_tree_coverage(const TreeParams& p,
       ++result.subtree_covered;
     }
 
-    if (contained && T != nullptr &&
-        result.canonical_checked < canonical_sample) {
+    if (contained && result.canonical_checked < canonical_sample) {
       ++result.canonical_checked;
+      const local::LabeledGraph around = build_T_neighbourhood(p, x, y);
       const std::string in_T =
-          scratch.extract(*T, nullptr, v, 1).canonical_encoding();
+          scratch.extract(around, nullptr, 0, 1).canonical_encoding();
       const local::LabeledGraph instance =
           build_patch_instance(p, *witness);
       const std::string in_H =

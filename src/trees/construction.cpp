@@ -153,6 +153,27 @@ local::LabeledGraph build_T(const TreeParams& p) {
   return out;
 }
 
+local::LabeledGraph build_T_neighbourhood(const TreeParams& p, Coord x,
+                                          Coord y) {
+  const Coord R = p.capital_R();
+  std::vector<CoordPair> nodes = tr_neighbors(x, y, R);
+  nodes.insert(nodes.begin(), {x, y});
+  const auto n = static_cast<graph::NodeId>(nodes.size());
+  graph::GraphBuilder g(n);
+  std::vector<local::Label> labels;
+  labels.reserve(nodes.size());
+  for (graph::NodeId v = 0; v < n; ++v) {
+    const CoordPair& a = nodes[static_cast<std::size_t>(v)];
+    labels.push_back(tree_label(p.r, a.x, a.y));
+    for (graph::NodeId w = v + 1; w < n; ++w) {
+      if (coords_adjacent(a, nodes[static_cast<std::size_t>(w)], R)) {
+        g.add_edge(v, w);
+      }
+    }
+  }
+  return local::LabeledGraph(g.build(), std::move(labels));
+}
+
 local::LabeledGraph build_patch_instance(const TreeParams& p, const Patch& h) {
   LOCALD_CHECK(h.valid(p), "invalid patch");
   const Coord R = p.capital_R();

@@ -111,7 +111,16 @@ std::vector<CoordPair> expected_border(const Patch& h, Coord R);
 // ---- instance builders ----------------------------------------------------
 
 // T_r itself (2^{R+1} - 1 nodes; R is capped to keep this materializable).
+// Node ids are heap order (graph::TreeIndex). Only small r build it: T_3
+// already has 4.2M nodes, so the coverage audit uses build_T_neighbourhood.
 local::LabeledGraph build_T(const TreeParams& p);
+
+// T_r's induced subgraph on the closed neighbourhood N[(x, y)]: node 0 is
+// (x, y), then its tr_neighbors in order; edges by coords_adjacent, labels
+// by tree_label. This is T_r's radius-1 ball at (x, y) up to node
+// numbering, built in O(1) from coordinates.
+local::LabeledGraph build_T_neighbourhood(const TreeParams& p, Coord x,
+                                          Coord y);
 
 // Patch + pivot adjacent to every border node. The pivot is the last node.
 local::LabeledGraph build_patch_instance(const TreeParams& p, const Patch& h);

@@ -544,6 +544,31 @@ TEST(Routing, OutOfRangeFamilySizesAreBadRequestsNotMismatches) {
   live.stop();
 }
 
+TEST(Routing, ExplicitZeroTrialsIsABadRequest) {
+  // An absent "trials" means the scenario default; an explicit 0 is an
+  // input error that names the field, for /v1/run and /v1/sweep alike.
+  Server server{ServeOptions{}};
+  const std::string zero = error_document(
+      400,
+      "field \"trials\" must be positive (omit it for the scenario default)");
+  const HttpResponse run = server.handle(make_request(
+      "POST", "/v1/run", R"({"scenario": "promise-cycle", "trials": 0})"));
+  EXPECT_EQ(run.status, 400);
+  EXPECT_EQ(run.body, zero);
+  const HttpResponse sweep = server.handle(make_request(
+      "POST", "/v1/sweep",
+      R"({"scenario": "promise-cycle", "sizes": [6], "trials": 0})"));
+  EXPECT_EQ(sweep.status, 400);
+  EXPECT_EQ(sweep.body, zero);
+  // One trial, or the field left out, runs.
+  for (const char* body : {R"({"scenario": "promise-cycle", "trials": 1})",
+                           R"({"scenario": "promise-cycle"})"}) {
+    EXPECT_EQ(server.handle(make_request("POST", "/v1/run", body)).status,
+              200)
+        << body;
+  }
+}
+
 TEST(Routing, BadRequestBodyCarriesTheMessageAlone) {
   // The 400 body names what is wrong with the request, not the C++
   // condition that caught it.

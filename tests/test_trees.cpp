@@ -3,8 +3,11 @@
 // the id-based P decider, the coverage audit, and the promise problem.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "graph/generators.h"
 #include "graph/graph.h"
+#include "local/ball.h"
 #include "local/indistinguishability.h"
 #include "local/property.h"
 #include "local/simulator.h"
@@ -117,6 +120,68 @@ TEST(Builders, TShape) {
   EXPECT_EQ(T.label(4), tree_label(2, 1, 2));
   EXPECT_TRUE(is_T(p, T));
   EXPECT_FALSE(is_patch_instance(p, T));
+}
+
+// Radius-1 canonical encoding of v's ball in g.
+std::string ball_encoding(local::BallScratch& scratch, const LabeledGraph& g,
+                          graph::NodeId v) {
+  return scratch.extract(g, nullptr, v, 1).canonical_encoding();
+}
+
+TEST(Builders, TNeighbourhoodIsTheBallOfT) {
+  // The coverage audit cuts T_r's balls from build_T_neighbourhood, never
+  // from T_r itself; the materialized T_r (graph::make_layered_tree) is the
+  // independent reference. Every node of T_1 and T_2 covers the root, the
+  // bottom level and both ends of every level.
+  local::BallScratch in_T;
+  local::BallScratch in_N;
+  for (const int r : {1, 2}) {
+    const TreeParams p = params(r);
+    const LabeledGraph T = build_T(p);
+    for (graph::NodeId v = 0; v < T.node_count(); ++v) {
+      const Coord y = graph::TreeIndex::level(v);
+      const Coord x = graph::TreeIndex::offset(v);
+      const LabeledGraph around = build_T_neighbourhood(p, x, y);
+      ASSERT_EQ(around.node_count(), T.graph().degree(v) + 1);
+      ASSERT_EQ(around.label(0), tree_label(r, x, y));
+      ASSERT_EQ(ball_encoding(in_N, around, 0), ball_encoding(in_T, T, v))
+          << "r = " << r << ", (x, y) = (" << x << ", " << y << ")";
+    }
+  }
+}
+
+TEST(Builders, TNeighbourhoodEncodingSeesEveryLabelAndEdge) {
+  // Negative control for the test above: the encoding is not blind to the
+  // neighbourhood's labels or to any one of its edges.
+  const TreeParams p = params(2);
+  // (2, 3): parent (1, 2), children (4, 4) and (5, 4), level neighbours
+  // (1, 3) and (3, 3); (3, 3) and the two children are also adjacent to
+  // other members, so some edges avoid the centre.
+  const LabeledGraph around = build_T_neighbourhood(p, 2, 3);
+  ASSERT_EQ(around.node_count(), 6);
+  local::BallScratch scratch;
+  const std::string good = ball_encoding(scratch, around, 0);
+
+  for (graph::NodeId w = 1; w < around.node_count(); ++w) {
+    LabeledGraph relabelled = around;
+    const local::Label& l = around.label(w);
+    relabelled.set_label(w, tree_label(p.r, l.at(2) + 100, l.at(3)));
+    EXPECT_NE(ball_encoding(scratch, relabelled, 0), good) << "node " << w;
+  }
+
+  const auto edges = around.graph().edges();
+  ASSERT_GT(edges.size(), static_cast<std::size_t>(around.graph().degree(0)));
+  for (const auto& dropped : edges) {
+    graph::GraphBuilder builder(around.node_count());
+    for (const auto& e : edges) {
+      if (e != dropped) {
+        builder.add_edge(e.first, e.second);
+      }
+    }
+    const LabeledGraph cut(builder.build(), around.labels());
+    EXPECT_NE(ball_encoding(scratch, cut, 0), good)
+        << "edge " << dropped.first << "-" << dropped.second;
+  }
 }
 
 TEST(Builders, PatchInstanceShape) {
@@ -339,8 +404,8 @@ TEST(Audit, FullPatchCoverageAtR3) {
 }
 
 TEST(Audit, LargeSampleStaysFullyCovered) {
-  // The exhaustive audit of all of T_3 (4.2M nodes) lives in the Figure-1
-  // bench; here a large sample must stay fully covered.
+  // Figure 1's r = 3 row samples 100k of T_3's 4.2M nodes; here a smaller
+  // sample of another seed must stay fully covered.
   TreeParams p = params(3);
   Rng rng(11);
   const auto result = audit_tree_coverage(p, 30'000, 0, rng);
